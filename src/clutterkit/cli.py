@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import formats, suites
 from .erasures import (
+    CertificateShapeError,
     ErasureCertificate,
     betti_from_erasures,
     find_erasure_sequence,
@@ -119,6 +120,8 @@ def _cmd_erasures_find(args) -> tuple[int, dict, list[str]]:
 def _cmd_erasures_verify(args) -> tuple[int, dict, list[str]]:
     try:
         cert = _load_certificate(args.certificate)
+    except CertificateShapeError:
+        raise  # not a certificate at all: a parse error, exit 2
     except ValueError as exc:
         report = {"command": "erasures-verify", "valid": False, "error": str(exc)}
         return 1, report, [f"INVALID: {exc}"]

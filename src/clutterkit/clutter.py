@@ -11,10 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
+from math import comb
 
 from .simplicial import SimplicialComplex
 
 MAX_VERTICES = 64
+# Cap on C(n, d) wherever the full lex list of d-subsets is materialised.
+MAX_D_SUBSETS = 1 << 18
 
 
 def vertex_mask(vertices) -> int:
@@ -36,6 +39,10 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def all_d_subsets(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All d-subsets of {1..n} in lexicographic order."""
+    if comb(n, d) > MAX_D_SUBSETS:
+        raise ValueError(
+            f"size guard: at most {MAX_D_SUBSETS} d-subsets supported, got C({n}, {d}) = {comb(n, d)}"
+        )
     return tuple(itertools.combinations(range(1, n + 1), d))
 
 
@@ -127,12 +134,6 @@ class Clutter:
         if e not in self:
             raise ValueError(f"{e} is not a circuit")
         return Clutter(self.n, self.d, tuple(c for c in self.circuits if c != e))
-
-    def with_circuit(self, e) -> "Clutter":
-        e = tuple(sorted(e))
-        if e in self:
-            raise ValueError(f"{e} is already a circuit")
-        return Clutter.from_circuits(self.n, self.d, self.circuits + (e,))
 
     def induced(self, vertices) -> "Clutter":
         """Subclutter of circuits contained in the given vertex set."""

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from . import search
 from .clutter import Clutter, all_d_subsets, vertex_mask
 from .simplicial import SimplicialComplex
 
@@ -83,14 +85,14 @@ class ErasureCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ErasureCertificate":
+    def from_json_dict(cls, data) -> "ErasureCertificate":
+        """Check the document's shape, then rebuild the certificate and replay it."""
+        _check_certificate_shape(data)
         cert = cls(
-            n=int(data["n"]),
-            d=int(data["d"]),
+            n=data["n"],
+            d=data["d"],
             removed=tuple(
-                RemovalStep(
-                    tuple(step["circuit"]), tuple(step["clique"]), int(step["k"]), bool(step["proper"])
-                )
+                RemovalStep(tuple(step["circuit"]), tuple(step["clique"]), step["k"], step["proper"])
                 for step in data["removed"]
             ),
         )
@@ -100,6 +102,39 @@ class ErasureCertificate:
             if claimed != cert.result:
                 raise ValueError("certificate result_circuits do not match the replay")
         return cert
+
+
+class CertificateShapeError(ValueError):
+    """A certificate document not shaped the way ``to_json_dict`` writes one."""
+
+
+def _check_certificate_shape(data) -> None:
+    def ints(value) -> bool:
+        return isinstance(value, list) and all(type(v) is int for v in value)
+
+    def step(value) -> bool:
+        return (
+            isinstance(value, dict)
+            and ints(value.get("circuit"))
+            and ints(value.get("clique"))
+            and type(value.get("k")) is int
+            and type(value.get("proper")) is bool
+        )
+
+    if not (
+        isinstance(data, dict)
+        and type(data.get("n")) is int
+        and type(data.get("d")) is int
+        and isinstance(data.get("removed"), list)
+        and all(map(step, data["removed"]))
+        and isinstance(data.get("result_circuits", []), list)
+        and all(map(ints, data.get("result_circuits", [])))
+    ):
+        raise CertificateShapeError(
+            "a certificate is an object with integers n and d, a list removed of steps"
+            " (integer lists circuit and clique, integer k, boolean proper) and, optionally,"
+            " result_circuits as a list of integer lists"
+        )
 
 
 def replay_erasure_sequence(n: int, d: int, circuits, require_proper: bool = False) -> ErasureCertificate:
@@ -155,27 +190,30 @@ def _exposed_clique_mask(circuit_masks: set[int], n: int, d: int, emask: int,
     return closure
 
 
-class _ErasureSpace:
-    """Shared scaffolding for erasure searches on a fixed (n, d)."""
+@lru_cache(maxsize=None)
+def _ridge_table(n: int, d: int) -> dict[int, list[int]]:
+    """The (d-1)-subset masks of each d-subset mask, keyed in lex d-subset order."""
+    table: dict[int, list[int]] = {}
+    for em in map(vertex_mask, all_d_subsets(n, d)):
+        subs = []
+        m = em
+        while m:
+            low = m & -m
+            subs.append(em ^ low)
+            m ^= low
+        table[em] = subs
+    return table
 
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-        self.subsets = all_d_subsets(n, d)
-        self.masks = [vertex_mask(e) for e in self.subsets]
-        # (d-1)-subset masks of each d-subset, for exposure checks
-        self.d_minus_one: dict[int, list[int]] = {}
-        for em in self.masks:
-            subs = []
-            m = em
-            while m:
-                low = m & -m
-                subs.append(em ^ low)
-                m ^= low
-            self.d_minus_one[em] = subs
 
-    def exposure(self, circuit_masks: set[int], emask: int) -> int | None:
-        return _exposed_clique_mask(circuit_masks, self.n, self.d, emask, self.d_minus_one)
+def _erasable(current: set[int], masks: list[int], n: int, d: int, require_proper: bool):
+    """The test whether circuit ``masks[i]`` is (properly) exposed in ``current``."""
+    ridges = _ridge_table(n, d)
+
+    def ok(i: int) -> bool:
+        clique = _exposed_clique_mask(current, n, d, masks[i], ridges)
+        return clique is not None and (not require_proper or clique.bit_count() > d)
+
+    return ok
 
 
 def find_erasure_sequence(
@@ -185,98 +223,40 @@ def find_erasure_sequence(
 
     Removal candidates are the circuits missing from the target; the greedy
     choice is the lexicographically first exposed one, with full
-    backtracking over removal sets (soundly memoized: exposure depends only
-    on the current circuit set).  Returns None when no sequence exists.
+    backtracking over removal sets (``search.find``).  Returns None when
+    no sequence exists.
     """
     n, d = target.n, target.d
-    space = _ErasureSpace(n, d)
-    rem = [e for e in space.subsets if e not in target]
+    rem = [e for e in all_d_subsets(n, d) if e not in target]
     rem_masks = [vertex_mask(e) for e in rem]
-    total = len(rem)
-    current = set(space.masks)
-    dead: set[int] = set()
-    chosen: list[int] = []
-
-    def search(state: int) -> bool:
-        if len(chosen) == total:
-            return True
-        for i in range(total):
-            bit = 1 << i
-            if state & bit:
-                continue
-            clique = space.exposure(current, rem_masks[i])
-            if clique is None:
-                continue
-            if require_proper and clique.bit_count() <= d:
-                continue
-            child = state | bit
-            if child in dead:
-                if greedy_only:
-                    return False
-                continue
-            chosen.append(i)
-            current.discard(rem_masks[i])
-            if search(child):
-                return True
-            current.add(rem_masks[i])
-            chosen.pop()
-            dead.add(child)
-            if greedy_only:
-                return False
-        return False
-
-    if not search(0):
+    current = set(_ridge_table(n, d))
+    chosen = search.find(
+        len(rem),
+        _erasable(current, rem_masks, n, d, require_proper),
+        lambda i: current.discard(rem_masks[i]),
+        lambda i: current.add(rem_masks[i]),
+        greedy_only,
+    )
+    if chosen is None:
         return None
     return replay_erasure_sequence(n, d, [rem[i] for i in chosen], require_proper)
 
 
-def erasure_reachable_set(
-    n: int, d: int, require_proper: bool = False, with_parents: bool = False
-):
+def erasure_reachable_set(n: int, d: int, require_proper: bool = False) -> set[int]:
     """Breadth-first closure of exposed-circuit removals from the complete clutter.
 
     States are bitmasks of removed circuits over the lex d-subset order.
     Removals only shrink the clutter, so a clutter is reachable iff its
-    removed-set appears here; with ``with_parents`` the return value maps
-    each state to (parent state, removed circuit index) for certificate
-    extraction, otherwise it is a plain set.
+    removed-set appears here.
     """
-    space = _ErasureSpace(n, d)
-    total = len(space.masks)
-    parents: dict[int, tuple[int, int] | None] = {0: None}
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for state in frontier:
-            current = {space.masks[i] for i in range(total) if not state >> i & 1}
-            for i in range(total):
-                bit = 1 << i
-                if state & bit or state | bit in parents:
-                    continue
-                clique = space.exposure(current, space.masks[i])
-                if clique is None:
-                    continue
-                if require_proper and clique.bit_count() <= d:
-                    continue
-                parents[state | bit] = (state, i)
-                new_frontier.append(state | bit)
-        frontier = new_frontier
-    if with_parents:
-        return parents
-    return set(parents)
+    masks = list(_ridge_table(n, d))
+    total = len(masks)
 
+    def allowed(state: int):
+        current = {masks[i] for i in range(total) if not state >> i & 1}
+        return _erasable(current, masks, n, d, require_proper)
 
-def certificate_from_reachable(parents: dict, state: int, n: int, d: int) -> ErasureCertificate:
-    """Extract and replay the removal order recorded by the reachability BFS."""
-    subsets = all_d_subsets(n, d)
-    order = []
-    cur = state
-    while parents[cur] is not None:
-        prev, idx = parents[cur]
-        order.append(subsets[idx])
-        cur = prev
-    order.reverse()
-    return replay_erasure_sequence(n, d, order)
+    return set(iter(search.closure(total, allowed)))
 
 
 def is_erasure_chordal(clutter: Clutter, require_proper: bool = False) -> bool:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import search
 from .clutter import Clutter, all_d_subsets
 
 CHORDAL_CLASSIC_MAX_N = 12
@@ -390,10 +391,6 @@ class WeightedGraph:
     def weight_of(self, edge) -> Fraction:
         return self.weights[self.graph.circuits.index(tuple(sorted(edge)))]
 
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
 
 def kruskal_mst(weighted: WeightedGraph) -> tuple[frozenset, Fraction]:
     """Sorted-edge union-find oracle; raises on disconnected input."""
@@ -533,34 +530,21 @@ def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
 def enumerate_chordal_graphs(n: int) -> set[int]:
     """Edge masks of every chordal graph on {1..n}.
 
-    Breadth-first closure of exposed-edge removals from the complete graph;
-    removals only delete edges, so each chordal graph appears exactly once.
+    Closure of exposed-edge removals from the complete graph
+    (``search.closure``); removals only delete edges, so each chordal
+    graph appears exactly once.
     """
     pairs = all_d_subsets(n, 2)
-    nedges = len(pairs)
-    full = (1 << nedges) - 1
-    seen = {full}
-    frontier = [full]
-    while frontier:
-        new_frontier = []
-        for gmask in frontier:
-            adj = [0] * n
-            for i in range(nedges):
-                if gmask >> i & 1:
-                    u, v = pairs[i]
-                    adj[u - 1] |= 1 << (v - 1)
-                    adj[v - 1] |= 1 << (u - 1)
-            for i in range(nedges):
-                if not gmask >> i & 1:
-                    continue
-                child = gmask ^ (1 << i)
-                if child in seen:
-                    continue
-                if _edge_exposed(adj, *pairs[i])[0]:
-                    seen.add(child)
-                    new_frontier.append(child)
-        frontier = new_frontier
-    return seen
+
+    def allowed(gmask: int):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if gmask >> i & 1:
+                adj[u - 1] |= 1 << (v - 1)
+                adj[v - 1] |= 1 << (u - 1)
+        return lambda i: _edge_exposed(adj, *pairs[i])[0]
+
+    return set(iter(search.closure(len(pairs), allowed, (1 << len(pairs)) - 1)))
 
 
 def random_connected_chordal(n: int, rng: random.Random, target_edges: int | None = None) -> Clutter:

@@ -172,10 +172,6 @@ def _within_table(n: int, d: int) -> list[int]:
 _homology_cache: dict[tuple, tuple[int, ...]] = {}
 
 
-def clear_homology_cache() -> None:
-    _homology_cache.clear()
-
-
 def _induced_clique_homology(n: int, d: int, smask: int, cmask: int, fld: str) -> tuple[int, ...]:
     """Reduced homology of the clique complex of the induced subclutter.
 

@@ -9,10 +9,10 @@ generator divides the monomial, is flagged explicitly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import search
 from .clutter import Clutter, all_d_subsets, vertex_mask, mask_vertices
 
 
@@ -107,9 +107,6 @@ class SquarefreeIdeal:
         if self.unit:
             return True
         return any(g.divides(m) for g in self.generators)
-
-    def support_sets(self) -> list[tuple[int, ...]]:
-        return [g.support for g in self.generators]
 
     def reordered(self, order: list[int]) -> "SquarefreeIdeal":
         if sorted(order) != list(range(len(self.generators))):
@@ -238,9 +235,8 @@ def find_quotient_order(ideal: SquarefreeIdeal, greedy_only: bool = False) -> Sq
     """Search for a generator order with linear quotients.
 
     Greedy choice (lexicographically first currently-linear divisor) with
-    full backtracking; dead prefix sets are memoized, which is sound
-    because a prefix ideal only depends on the set of generators placed.
-    With ``greedy_only`` the first stuck greedy chain aborts the search.
+    full backtracking over placed-generator sets (``search.find``).  With
+    ``greedy_only`` the first stuck greedy chain aborts the search.
     """
     if not ideal.is_minimally_generated():
         raise ValueError("ideal is not minimally generated")
@@ -251,35 +247,15 @@ def find_quotient_order(ideal: SquarefreeIdeal, greedy_only: bool = False) -> Sq
         raise ValueError("quotient-order search needs an equigenerated ideal")
     order = sorted(range(len(gens)), key=lambda i: gens[i].support)
     masks = [gens[i].mask for i in order]
-    total = len(masks)
-    dead: set[int] = set()
-    chosen: list[int] = []
-
-    def search(placed: int) -> bool:
-        if len(chosen) == total:
-            return True
-        prefix = [masks[i] for i in chosen]
-        for i in range(total):
-            bit = 1 << i
-            if placed & bit:
-                continue
-            if _linear_divisor_mask(prefix, masks[i]) is None:
-                continue
-            child = placed | bit
-            if child in dead:
-                if greedy_only:
-                    return False
-                continue
-            chosen.append(i)
-            if search(child):
-                return True
-            chosen.pop()
-            dead.add(child)
-            if greedy_only:
-                return False
-        return False
-
-    if not search(0):
+    prefix: list[int] = []
+    chosen = search.find(
+        len(masks),
+        lambda i: _linear_divisor_mask(prefix, masks[i]) is not None,
+        lambda i: prefix.append(masks[i]),
+        lambda i: prefix.pop(),
+        greedy_only,
+    )
+    if chosen is None:
         return None
     return ideal.reordered([order[i] for i in chosen])
 
@@ -289,43 +265,20 @@ def quotient_reachable_set(n: int, d: int, small_only: bool = False) -> set[int]
 
     States are bitmasks over the lex-ordered d-subsets of {1..n}; a state is
     reachable iff the corresponding generator set admits a quotient order
-    (prefix ideals grow monotonically, so set-level BFS is exact).  With
-    ``small_only`` each added generator must also have colon count < n - d.
+    (``search.closure``).  With ``small_only`` each added generator must
+    also have colon count < n - d.
     """
-    subsets = all_d_subsets(n, d)
-    masks = [vertex_mask(e) for e in subsets]
+    masks = [vertex_mask(e) for e in all_d_subsets(n, d)]
     total = len(masks)
     limit = n - d
-    reachable = {0}
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for state in frontier:
-            prefix = [masks[i] for i in range(total) if state >> i & 1]
-            for i in range(total):
-                bit = 1 << i
-                if state & bit:
-                    continue
-                child = state | bit
-                if child in reachable:
-                    continue
-                singles = _linear_divisor_mask(prefix, masks[i])
-                if singles is None:
-                    continue
-                if small_only and singles.bit_count() >= limit:
-                    continue
-                reachable.add(child)
-                new_frontier.append(child)
-        frontier = new_frontier
-    return reachable
 
+    def allowed(state: int):
+        prefix = [masks[i] for i in range(total) if state >> i & 1]
 
-def colon_membership_supports(ideal: SquarefreeIdeal, m: SquarefreeMonomial) -> set[tuple[int, ...]]:
-    """Supports r with r*m in I, enumerated exhaustively (test oracle helper)."""
-    out = set()
-    for size in range(0, ideal.n + 1):
-        for r in itertools.combinations(range(1, ideal.n + 1), size):
-            rm = vertex_mask(r) | m.mask
-            if any(gm & ~rm == 0 for gm in ideal.generator_masks):
-                out.add(r)
-    return out
+        def ok(i: int) -> bool:
+            singles = _linear_divisor_mask(prefix, masks[i])
+            return singles is not None and not (small_only and singles.bit_count() >= limit)
+
+        return ok
+
+    return set(iter(search.closure(total, allowed)))

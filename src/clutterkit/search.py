@@ -1,0 +1,101 @@
+"""The subset searches behind the erasure, quotient, chordal and shelling code.
+
+Each search makes moves 0..total-1 one at a time (erase a circuit, add a
+generator, delete an edge, add a facet), and whether a move may be made
+depends only on the set of moves already made, never on their order.  A
+state is that set as a bitmask.  So a breadth-first closure meets every
+reachable set exactly once, and a state with no complete continuation is
+dead whichever order reached it, which makes a dead-set memo sound.
+
+Callers keep their own move tests (the exposure and colon kernels), so the
+clutter-side and ideal-side searches still check each other.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+
+def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: int = 0) -> dict[int, int]:
+    """Every state reachable from ``start``, mapped to the index of its last move.
+
+    Move i flips bit i, once: from ``start = 0`` moves add elements, from
+    the full mask they remove them.  ``allowed(state)`` returns the test
+    ``ok(i)`` for moves out of ``state``.  States are expanded
+    breadth-first, moves lowest index first, and a child already reached is
+    skipped before ``ok`` is called.  ``start`` maps to -1; any other
+    state's parent is ``state ^ (1 << last[state])``.  A caller that needs
+    only the states copies them with ``set(iter(last))``: ``set(last)``
+    sizes its table for twice as many entries, which doubles its memory.
+    """
+    full = (1 << total) - 1
+    last = {start: -1}
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for state in frontier:
+            ok = allowed(state)
+            free = full ^ state ^ start
+            while free:
+                bit = free & -free
+                free ^= bit
+                child = state ^ bit
+                if child in last:
+                    continue
+                i = bit.bit_length() - 1
+                if ok(i):
+                    last[child] = i
+                    new_frontier.append(child)
+        frontier = new_frontier
+    return last
+
+
+def path(last: dict[int, int], state: int) -> list[int]:
+    """The moves ``closure`` recorded from its start to ``state``, in order."""
+    moves = []
+    while (i := last[state]) >= 0:
+        moves.append(i)
+        state ^= 1 << i
+    moves.reverse()
+    return moves
+
+
+def find(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
+         pop: Callable[[int], None], greedy_only: bool = False) -> list[int] | None:
+    """Depth-first search for an order of all ``total`` moves, or None.
+
+    ``ok(i)`` tests move i in the caller's context for the current state;
+    ``push(i)`` makes the move in that context and ``pop(i)`` undoes it.
+    Moves are tried lowest index first, and a child known dead is skipped
+    after ``ok`` accepts it.  With ``greedy_only`` the search follows the
+    first accepted move at each state and fails as soon as that chain does.
+    """
+    full = (1 << total) - 1
+    dead: set[int] = set()
+    chosen: list[int] = []
+    state = 0
+    start = 0
+    while state != full:
+        for i in range(start, total):
+            bit = 1 << i
+            if state & bit or not ok(i):
+                continue
+            if state | bit not in dead:
+                break
+            if greedy_only:
+                return None
+        else:
+            # no move out of this state completes: it is dead
+            if not chosen or greedy_only:
+                return None
+            dead.add(state)
+            i = chosen.pop()
+            pop(i)
+            state ^= 1 << i
+            start = i + 1
+            continue
+        chosen.append(i)
+        push(i)
+        state |= bit
+        start = 0
+    return chosen

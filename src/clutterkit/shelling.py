@@ -10,7 +10,9 @@ extends depends only on the set of facets placed, never on their order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from . import search
 from .clutter import all_d_subsets
 from .erasures import ErasureCertificate, replay_erasure_sequence
 from .homology import reduced_homology_dims
@@ -110,11 +112,6 @@ def shelling_to_erasures(shelling: ShellingOrder, d: int | None = None) -> Erasu
     return replay_erasure_sequence(n, d, order)
 
 
-def shelling_from_erasure_order(n: int, d: int, circuits) -> ShellingOrder:
-    """Convenience: replay circuits as erasures, then dualize to a shelling."""
-    return erasures_to_shelling(replay_erasure_sequence(n, d, circuits))
-
-
 # -- extendable shellability ---------------------------------------------------
 
 class _ExtensionSpace:
@@ -154,32 +151,12 @@ class _ExtensionSpace:
                 return False
         return True
 
-    def reachable_states(self) -> dict[int, tuple[int, int] | None]:
-        parents: dict[int, tuple[int, int] | None] = {0: None}
-        frontier = [0]
-        nfac = len(self.facets)
-        while frontier:
-            new_frontier = []
-            for state in frontier:
-                for f in range(nfac):
-                    bit = 1 << f
-                    if state & bit or state | bit in parents:
-                        continue
-                    if self.addable(state, f):
-                        parents[state | bit] = (state, f)
-                        new_frontier.append(state | bit)
-            frontier = new_frontier
-        return parents
+    def reachable_states(self) -> dict[int, int]:
+        """Every shelling prefix as a facet-index set, mapped to its last facet."""
+        return search.closure(len(self.facets), lambda state: partial(self.addable, state))
 
-    def order_for_state(self, parents: dict, state: int) -> list[tuple[int, ...]]:
-        order = []
-        cur = state
-        while parents[cur] is not None:
-            prev, f = parents[cur]
-            order.append(self.facets[f])
-            cur = prev
-        order.reverse()
-        return order
+    def order_for_state(self, last: dict[int, int], state: int) -> list[tuple[int, ...]]:
+        return [self.facets[f] for f in search.path(last, state)]
 
 
 @dataclass(frozen=True)
@@ -208,13 +185,13 @@ def is_extendably_shellable(complex_: SimplicialComplex) -> ExtendabilityResult:
     yields an explicit stuck partial shelling as witness.
     """
     space = _ExtensionSpace(complex_)
-    parents = space.reachable_states()
-    if space.full not in parents:
+    last = space.reachable_states()
+    if space.full not in last:
         raise ValueError("complex is not shellable")
     completable: dict[int, bool] = {space.full: True}
     nfac = len(space.facets)
 
-    states = sorted(parents, key=lambda s: s.bit_count(), reverse=True)
+    states = sorted(last, key=lambda s: s.bit_count(), reverse=True)
     for state in states:
         if state in completable:
             continue
@@ -234,9 +211,9 @@ def is_extendably_shellable(complex_: SimplicialComplex) -> ExtendabilityResult:
 
     for state in states:
         if not completable[state]:
-            witness = tuple(space.order_for_state(parents, state))
-            return ExtendabilityResult(False, True, len(parents), witness)
-    return ExtendabilityResult(True, True, len(parents), None)
+            witness = tuple(space.order_for_state(last, state))
+            return ExtendabilityResult(False, True, len(last), witness)
+    return ExtendabilityResult(True, True, len(last), None)
 
 
 def skeleton_complex(n: int, dim: int) -> SimplicialComplex:
@@ -269,11 +246,11 @@ def check_contractible_extendable(complex_: SimplicialComplex) -> dict:
         return report
 
     space = _ExtensionSpace(complex_)
-    parents = space.reachable_states()
-    if space.full not in parents:
+    last = space.reachable_states()
+    if space.full not in last:
         fail("complex is not shellable")
         return report
-    order = space.order_for_state(parents, space.full)
+    order = space.order_for_state(last, space.full)
     shelling = verify_shelling(complex_, order)
     spheres = sum(1 for r in shelling.restricted_sets if len(r) == n - 2)
     report["full_restricted_steps"] = spheres

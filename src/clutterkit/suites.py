@@ -8,6 +8,7 @@ deterministic for a fixed configuration and seed.
 
 from __future__ import annotations
 
+import os
 import random
 
 from .clutter import Clutter, all_d_subsets
@@ -99,31 +100,15 @@ def froberg_suite(n: int, greedy_metrics: bool = True, jobs: int = 1) -> dict:
         "proper_connectivity_failures": [],
         "greedy_failures": 0,
     }
-    ranges = _split_range(1 << nedges, jobs)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(
-                _froberg_chunk,
-                [(n, lo, hi, reach, reach_proper, qreach, greedy_metrics) for lo, hi in ranges],
-            )
-    else:
-        chunks = [
-            _froberg_chunk((n, lo, hi, reach, reach_proper, qreach, greedy_metrics))
-            for lo, hi in ranges
-        ]
+    chunks = _map_chunks(
+        _froberg_chunk,
+        1 << nedges,
+        jobs,
+        lambda lo, hi: (n, lo, hi, reach, reach_proper, qreach, greedy_metrics),
+    )
     for chunk in chunks:
-        report["chordal_count"] += chunk["chordal_count"]
-        report["h_vector_checked"] += chunk["h_vector_checked"]
-        report["greedy_failures"] += chunk["greedy_failures"]
-        for key in (
-            "discrepancies",
-            "field_disagreements",
-            "certificate_failures",
-            "proper_connectivity_failures",
-        ):
-            report[key].extend(chunk[key])
+        for key, value in chunk.items():
+            report[key] += value  # counts add, witness lists concatenate
     for key in (
         "discrepancies",
         "field_disagreements",
@@ -192,10 +177,23 @@ def _froberg_chunk(args) -> dict:
     return out
 
 
-def _split_range(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, jobs)
-    step = (total + jobs - 1) // jobs
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _map_chunks(work, total: int, jobs: int, task) -> list:
+    """``work(task(lo, hi))`` over contiguous chunks of ``range(total)``, in order.
+
+    One chunk per job; ``jobs`` is clamped to the CPU count, and with a
+    single job the chunk runs in this process.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
+    step = max(1, -(-total // jobs))
+    tasks = [task(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    if jobs == 1:
+        return [work(t) for t in tasks]
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        return pool.map(work, tasks)
 
 
 def connectivity_suite(max_n: int) -> dict:
@@ -299,16 +297,7 @@ def chromatic_suite(max_n: int, jobs: int = 1) -> dict:
     report: dict = {"suite": "chromatic", "max_n": max_n, "checked": 0, "mismatches": []}
     for n in range(2, max_n + 1):
         masks = sorted(enumerate_chordal_graphs(n))
-        ranges = _split_range(len(masks), jobs)
-        if jobs > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(jobs) as pool:
-                chunks = pool.map(
-                    _chromatic_chunk, [(n, masks[lo:hi]) for lo, hi in ranges]
-                )
-        else:
-            chunks = [_chromatic_chunk((n, masks[lo:hi])) for lo, hi in ranges]
+        chunks = _map_chunks(_chromatic_chunk, len(masks), jobs, lambda lo, hi: (n, masks[lo:hi]))
         for checked, mismatches in chunks:
             report["checked"] += checked
             report["mismatches"].extend([n, m] for m in mismatches)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -199,3 +200,54 @@ def test_reports_are_deterministic(capsys, g5_file):
     _, out1, _ = run(capsys, "betti", "compare", g5_file)
     _, out2, _ = run(capsys, "betti", "compare", g5_file)
     assert out1 == out2
+
+
+G5_CERTIFICATE = {
+    "n": 5,
+    "d": 2,
+    "removed": [
+        {"circuit": [1, 3], "clique": [1, 2, 3, 4, 5], "k": 0, "proper": True},
+        {"circuit": [1, 4], "clique": [1, 2, 4, 5], "k": 1, "proper": True},
+        {"circuit": [1, 5], "clique": [1, 2, 5], "k": 2, "proper": True},
+        {"circuit": [2, 3], "clique": [2, 3, 4, 5], "k": 1, "proper": True},
+        {"circuit": [2, 4], "clique": [2, 4, 5], "k": 2, "proper": True},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [1, 2],
+        {**G5_CERTIFICATE, "result_circuits": 5},
+        {**G5_CERTIFICATE, "n": "5"},
+        {**G5_CERTIFICATE, "removed": [5]},
+    ],
+)
+def test_malformed_certificate_exit_code(capsys, tmp_path, document):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(document))
+    for command in ("verify", "betti"):
+        code, _, err = run(capsys, "erasures", command, str(path))
+        assert code == 2 and "Traceback" not in err and "certificate" in err
+
+
+def test_well_formed_certificate_still_replays(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(G5_CERTIFICATE))
+    code, out, _ = run(capsys, "erasures", "verify", str(path))
+    assert code == 0 and last_json(out)["result_circuits"] == [[1, 2], [2, 5], [3, 4], [3, 5], [4, 5]]
+
+
+def test_d_subset_guard_exit_code(capsys, tmp_path):
+    big = tmp_path / "big.clut"
+    big.write_text("26 13\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "complement", str(big))
+    assert code == 2 and "size guard" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_jobs_below_one_exit_code(capsys):
+    code, _, err = run(capsys, "suite", "exhaustive", "chromatic", "--n", "4", "--jobs", "0")
+    assert code == 2 and "jobs" in err

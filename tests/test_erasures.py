@@ -2,12 +2,12 @@ import json
 
 import pytest
 
+from clutterkit import search
 from clutterkit.clutter import Clutter, all_d_subsets
 from clutterkit.erasures import (
     ErasureCertificate,
     betti_contribution,
     betti_from_erasures,
-    certificate_from_reachable,
     erasure_reachable_set,
     find_erasure_sequence,
     h_vector_check,
@@ -115,16 +115,23 @@ def test_h_vector_check_cases(tailed_triangle):
 
 
 def test_reachable_set_extraction_matches_search():
-    parents = erasure_reachable_set(4, 2, with_parents=True)
+    reach = erasure_reachable_set(4, 2)
     pairs = all_d_subsets(4, 2)
     full = (1 << len(pairs)) - 1
+
+    def allowed(state):
+        current = graph_from_edge_mask(4, full ^ state)
+        return lambda i: current.exposed_status(pairs[i]).exposed
+
+    last = search.closure(len(pairs), allowed)
+    assert set(last) == reach
     for gmask in range(1 << len(pairs)):
         graph = graph_from_edge_mask(4, gmask)
         state = full ^ gmask
         cert = find_erasure_sequence(graph)
-        assert (cert is not None) == (state in parents)
-        if state in parents:
-            extracted = certificate_from_reachable(parents, state, 4, 2)
+        assert (cert is not None) == (state in reach)
+        if state in reach:
+            extracted = replay_erasure_sequence(4, 2, [pairs[i] for i in search.path(last, state)])
             assert extracted.result == graph
 
 

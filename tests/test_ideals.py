@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from clutterkit.clutter import Clutter, all_d_subsets
+from clutterkit.clutter import Clutter, all_d_subsets, vertex_mask
 from clutterkit.erasures import erasure_reachable_set, find_erasure_sequence
 from clutterkit.ideals import (
     SquarefreeIdeal,
+    SquarefreeMonomial,
     colon_by_monomial,
-    colon_membership_supports,
     find_quotient_order,
     ideal_of_clutter,
     is_linear_divisor,
@@ -16,6 +16,17 @@ from clutterkit.ideals import (
     quotient_reachable_set,
     verify_quotient_order,
 )
+
+
+def colon_membership_supports(ideal: SquarefreeIdeal, m: SquarefreeMonomial) -> set[tuple[int, ...]]:
+    """Supports r with r*m in I, enumerated exhaustively."""
+    out = set()
+    for size in range(0, ideal.n + 1):
+        for r in itertools.combinations(range(1, ideal.n + 1), size):
+            rm = vertex_mask(r) | m.mask
+            if any(gm & ~rm == 0 for gm in ideal.generator_masks):
+                out.add(r)
+    return out
 
 
 def example_ideal() -> SquarefreeIdeal:

@@ -1,0 +1,129 @@
+import hashlib
+import itertools
+import json
+import random
+
+import pytest
+
+from clutterkit import search
+from clutterkit.clutter import Clutter, all_d_subsets
+from clutterkit.erasures import find_erasure_sequence
+from clutterkit.ideals import find_quotient_order, ideal_of_clutter
+
+TOTAL = 5
+
+
+def random_rule(seed: int, density: float):
+    """A move test that depends only on the set already placed, drawn at random."""
+    rng = random.Random(seed)
+    table = {
+        (state, i): rng.random() < density
+        for state in range(1 << TOTAL)
+        for i in range(TOTAL)
+    }
+    return lambda state, i: table[state, i]
+
+
+RULES = [random_rule(seed, density) for seed in range(12) for density in (0.4, 0.6, 0.8)] + [
+    lambda state, i: True,
+    lambda state, i: False,
+    lambda state, i: i == 0 or bool(state >> (i - 1) & 1),  # moves in index order only
+    lambda state, i: (state.bit_count() + i) % 2 == 0,
+]
+
+
+def walks(rule, start=0):
+    """Every order followed move by move (move i flips bit i) while the rule
+    allows: each state passed, and the complete orders."""
+    states, complete = {start}, []
+    for order in itertools.permutations(range(TOTAL)):
+        state = start
+        for i in order:
+            if not rule(state, i):
+                break
+            state ^= 1 << i
+            states.add(state)
+        else:
+            complete.append(list(order))
+    return states, complete
+
+
+def run_find(rule, greedy_only=False):
+    placed = [0]
+
+    def push(i):
+        placed[0] |= 1 << i
+
+    def pop(i):
+        placed[0] &= ~(1 << i)
+
+    return search.find(TOTAL, lambda i: rule(placed[0], i), push, pop, greedy_only)
+
+
+def greedy_chain(rule):
+    state, order = 0, []
+    while len(order) < TOTAL:
+        moves = [i for i in range(TOTAL) if not state >> i & 1 and rule(state, i)]
+        if not moves:
+            return None
+        order.append(moves[0])
+        state |= 1 << moves[0]
+    return order
+
+
+@pytest.mark.parametrize("start", [0, (1 << TOTAL) - 1])
+@pytest.mark.parametrize("rule", RULES)
+def test_closure_matches_every_order(rule, start):
+    last = search.closure(TOTAL, lambda state: lambda i: rule(state, i), start)
+    states, _ = walks(rule, start)
+    assert set(last) == states
+    assert last[start] == -1
+    for state in last:
+        order = search.path(last, state)
+        assert sorted(order) == [i for i in range(TOTAL) if (state ^ start) >> i & 1]
+        placed = start
+        for i in order:
+            assert rule(placed, i)
+            placed ^= 1 << i
+        assert placed == state
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_find_returns_least_order_and_greedy_never_beats_it(rule):
+    _, complete = walks(rule)
+    full = run_find(rule)
+    assert full == (min(complete) if complete else None)
+    greedy = run_find(rule, greedy_only=True)
+    assert greedy == greedy_chain(rule)
+    if full is None:
+        assert greedy is None
+
+
+def test_find_with_no_moves_succeeds_at_once():
+    assert search.find(0, None, None, None) == []
+    assert search.path({0: -1}, 0) == []
+
+
+def removal_order(cert):
+    return None if cert is None else [list(s.circuit) for s in cert.removed]
+
+
+def test_search_witnesses_are_pinned():
+    # Orders found over every graph and every 3-clutter on 5 vertices, as the
+    # per-search backtracking code returned them before the shared engine.
+    rows = []
+    for d in (2, 3):
+        subsets = all_d_subsets(5, d)
+        for mask in range(1 << len(subsets)):
+            target = Clutter(5, d, tuple(e for i, e in enumerate(subsets) if mask >> i & 1))
+            order = find_quotient_order(ideal_of_clutter(target.complement()))
+            rows.append([
+                d,
+                mask,
+                removal_order(find_erasure_sequence(target)),
+                removal_order(find_erasure_sequence(target, True)),
+                removal_order(find_erasure_sequence(target, False, True)),
+                None if order is None else [list(g.support) for g in order.generators],
+            ])
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "c7b21e0cf8323d60f6bb30a57dd7f188be8d5bcacfcd26676d4e3b3d7c8f9e94"

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import pytest
 
 from clutterkit import suites
@@ -15,6 +18,43 @@ def test_froberg_suite_parallel_matches_serial():
     serial = suites.froberg_suite(4)
     parallel = suites.froberg_suite(4, jobs=2)
     assert serial == parallel
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the size asked for, maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, size):
+        RecordingPool.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, work, tasks):
+        return [work(task) for task in tasks]
+
+
+@pytest.mark.parametrize("cpus, jobs, pool_size", [(2, 64, 2), (4, 3, 3), (1, 8, None)])
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, cpus, jobs, pool_size):
+    serial = (suites.froberg_suite(4), suites.chromatic_suite(5))
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    RecordingPool.sizes = []
+    assert (suites.froberg_suite(4, jobs=jobs), suites.chromatic_suite(5, jobs=jobs)) == serial
+    expected = [] if pool_size is None else [pool_size] * 5  # one froberg pool, one per chromatic n
+    assert RecordingPool.sizes == expected
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_are_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        suites.chromatic_suite(4, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        suites.froberg_suite(3, jobs=jobs)
 
 
 def test_connectivity_suite_small():
