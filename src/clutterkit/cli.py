@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import formats, suites
+from .clutter import SizeGuardError
 from .erasures import (
     CertificateShapeError,
     ErasureCertificate,
@@ -24,7 +25,6 @@ from .erasures import (
 from .graphs import (
     chromatic_polynomial_dc,
     chromatic_polynomial_product,
-    graph_connected,
     is_chordal_classic,
     kruskal_mst,
     mst_by_erasures,
@@ -35,7 +35,6 @@ from .homology import hochster_betti_table
 from .ideals import (
     colon_by_monomial,
     find_quotient_order,
-    ideal_of_clutter,
     monomial,
     verify_quotient_order,
 )
@@ -120,8 +119,8 @@ def _cmd_erasures_find(args) -> tuple[int, dict, list[str]]:
 def _cmd_erasures_verify(args) -> tuple[int, dict, list[str]]:
     try:
         cert = _load_certificate(args.certificate)
-    except CertificateShapeError:
-        raise  # not a certificate at all: a parse error, exit 2
+    except (CertificateShapeError, SizeGuardError):
+        raise  # not a certificate, or too large to replay: exit 2
     except ValueError as exc:
         report = {"command": "erasures-verify", "valid": False, "error": str(exc)}
         return 1, report, [f"INVALID: {exc}"]

@@ -4,6 +4,10 @@ A d-clutter on vertex set {1..n} is a set of d-element subsets ("circuits").
 Everything here is immutable; vertices are 1-based and each circuit is kept
 as a sorted tuple.  Internally circuits double as bitmasks (bit v-1 for
 vertex v), which caps the supported vertex count at 64.
+
+The searches test exposure on a mutable *link table* (``link_table``,
+``toggle_circuit``, ``exposed_clique``); ``Clutter.exposed_status`` is the
+independent reference that certificate replay uses.
 """
 
 from __future__ import annotations
@@ -18,6 +22,10 @@ from .simplicial import SimplicialComplex
 MAX_VERTICES = 64
 # Cap on C(n, d) wherever the full lex list of d-subsets is materialised.
 MAX_D_SUBSETS = 1 << 18
+
+
+class SizeGuardError(ValueError):
+    """An input too large for an exponential path, refused before any work."""
 
 
 def vertex_mask(vertices) -> int:
@@ -40,7 +48,7 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
 def all_d_subsets(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All d-subsets of {1..n} in lexicographic order."""
     if comb(n, d) > MAX_D_SUBSETS:
-        raise ValueError(
+        raise SizeGuardError(
             f"size guard: at most {MAX_D_SUBSETS} d-subsets supported, got C({n}, {d}) = {comb(n, d)}"
         )
     return tuple(itertools.combinations(range(1, n + 1), d))
@@ -49,6 +57,61 @@ def all_d_subsets(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def d_subset_index(n: int, d: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(all_d_subsets(n, d))}
+
+
+@lru_cache(maxsize=None)
+def d_subset_masks(n: int, d: int) -> tuple[int, ...]:
+    """The vertex masks of the lex-ordered d-subsets of {1..n}."""
+    return tuple(map(vertex_mask, all_d_subsets(n, d)))
+
+
+# -- the link table: the exposure kernel of the searches ----------------------
+
+def link_table(n: int, d: int, index_mask: int) -> dict[int, int]:
+    """Map each (d-1)-subset mask s to the mask of vertices v with s+v a circuit.
+
+    The circuits are the lex d-subsets whose bits are set in
+    ``index_mask``.  At d = 2 this is the adjacency-mask list keyed by
+    vertex bit; at d = 1 its one entry, ``link[0]``, is the circuit mask.
+    """
+    link = dict.fromkeys(d_subset_masks(n, d - 1), 0)
+    masks = d_subset_masks(n, d)
+    for i in mask_vertices(index_mask):
+        toggle_circuit(link, masks[i - 1])
+    return link
+
+
+def toggle_circuit(link: dict[int, int], emask: int) -> None:
+    """Add circuit ``emask`` to the link table, or remove it if present."""
+    m = emask
+    while m:
+        low = m & -m
+        link[emask ^ low] ^= low
+        m ^= low
+
+
+def exposed_clique(link: dict[int, int], emask: int) -> int | None:
+    """The mask of the unique maximal clique through circuit ``emask``, or None.
+
+    With Q = {v : e+v is a clique}, e is exposed iff e+Q is a clique, and
+    then e+Q is that clique.  Q is the AND of ``link[s]`` over the
+    (d-1)-subsets s of e.  Every d-subset of e+Q other than e is r+v for a
+    (d-1)-subset r of e+Q not inside e and some v in Q - r, so e+Q is a
+    clique iff Q - r lies in ``link[r]`` for each such r; the scan over the
+    table's keys finds those r.
+    """
+    q = ~emask
+    m = emask
+    while m:
+        low = m & -m
+        m ^= low
+        q &= link[emask ^ low]
+    closure = emask | q
+    if q & (q - 1):  # with one extension vertex v, e+v is a clique by Q's definition
+        for r, rlink in link.items():
+            if r & q and not r & ~closure and q & ~r & ~rlink:
+                return None
+    return closure
 
 
 @dataclass(frozen=True)
@@ -64,6 +127,13 @@ class ExposedStatus:
     proper: bool | None = None
 
 
+def _check_size(n: int, d: int) -> None:
+    if not 1 <= d <= n:
+        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if n > MAX_VERTICES:
+        raise SizeGuardError(f"size guard: at most {MAX_VERTICES} vertices supported, got n={n}")
+
+
 @dataclass(frozen=True)
 class Clutter:
     n: int
@@ -71,10 +141,7 @@ class Clutter:
     circuits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not 1 <= self.d <= self.n:
-            raise ValueError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"size guard: at most {MAX_VERTICES} vertices supported, got n={self.n}")
+        _check_size(self.n, self.d)
         seen = set()
         for e in self.circuits:
             if len(e) != self.d or len(set(e)) != self.d:
@@ -94,6 +161,23 @@ class Clutter:
         """Build a clutter, normalizing circuit and list order."""
         canon = sorted({tuple(sorted(e)) for e in circuits})
         return cls(n, d, tuple(canon))
+
+    @classmethod
+    def from_index_mask(cls, n: int, d: int, mask: int) -> "Clutter":
+        """The clutter of the lex d-subsets whose bits are set in ``mask``.
+
+        Trusted: those circuits are valid by construction, so only n, d and
+        the mask's range are checked, and ``circuit_index_mask`` comes
+        pre-filled.
+        """
+        _check_size(n, d)
+        subsets = all_d_subsets(n, d)
+        if mask < 0 or mask >> len(subsets):
+            raise ValueError(f"mask {mask} is not a set of {len(subsets)} d-subsets")
+        circuits = tuple([subsets[i - 1] for i in mask_vertices(mask)])
+        clutter = object.__new__(cls)
+        vars(clutter).update(n=n, d=d, circuits=circuits, circuit_index_mask=mask)
+        return clutter
 
     @classmethod
     def complete(cls, n: int, d: int) -> "Clutter":
@@ -126,8 +210,8 @@ class Clutter:
 
     def complement(self) -> "Clutter":
         """The clutter of d-subsets that are not circuits here."""
-        mine = set(self.circuits)
-        return Clutter(self.n, self.d, tuple(e for e in all_d_subsets(self.n, self.d) if e not in mine))
+        full = (1 << len(all_d_subsets(self.n, self.d))) - 1
+        return Clutter.from_index_mask(self.n, self.d, full ^ self.circuit_index_mask)
 
     def without(self, e) -> "Clutter":
         e = tuple(sorted(e))

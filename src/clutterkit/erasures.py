@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from . import search
-from .clutter import Clutter, all_d_subsets, vertex_mask
+from .clutter import (
+    Clutter,
+    all_d_subsets,
+    d_subset_masks,
+    exposed_clique,
+    link_table,
+    mask_vertices,
+    toggle_circuit,
+)
 from .simplicial import SimplicialComplex
 
 
@@ -153,65 +160,12 @@ def replay_erasure_sequence(n: int, d: int, circuits, require_proper: bool = Fal
     return ErasureCertificate(n, d, tuple(steps))
 
 
-# -- fast exposure core ------------------------------------------------------
-
-def _exposed_clique_mask(circuit_masks: set[int], n: int, d: int, emask: int,
-                         d_minus_one_subs) -> int | None:
-    """Unique-maximal-clique mask of an exposed circuit, else None.
-
-    With Q = {v : e+v is a clique}, e is exposed iff e+Q is a clique, and
-    then e+Q is that unique clique.
-    """
-    qmask = 0
-    for v in range(n):
-        vbit = 1 << v
-        if emask & vbit:
-            continue
-        for sub in d_minus_one_subs[emask]:
-            if sub | vbit not in circuit_masks:
-                break
-        else:
-            qmask |= vbit
-    if qmask == 0:
-        return emask
-    closure = emask | qmask
-    bits = []
-    m = closure
-    while m:
-        low = m & -m
-        bits.append(low)
-        m ^= low
-    for combo in combinations(bits, d):
-        sm = 0
-        for b in combo:
-            sm |= b
-        if sm not in circuit_masks:
-            return None
-    return closure
-
-
-@lru_cache(maxsize=None)
-def _ridge_table(n: int, d: int) -> dict[int, list[int]]:
-    """The (d-1)-subset masks of each d-subset mask, keyed in lex d-subset order."""
-    table: dict[int, list[int]] = {}
-    for em in map(vertex_mask, all_d_subsets(n, d)):
-        subs = []
-        m = em
-        while m:
-            low = m & -m
-            subs.append(em ^ low)
-            m ^= low
-        table[em] = subs
-    return table
-
-
-def _erasable(current: set[int], masks: list[int], n: int, d: int, require_proper: bool):
-    """The test whether circuit ``masks[i]`` is (properly) exposed in ``current``."""
-    ridges = _ridge_table(n, d)
+def _erasable(link: dict[int, int], masks, require_proper: bool):
+    """The test whether circuit ``masks[i]`` is (properly) exposed in ``link``."""
 
     def ok(i: int) -> bool:
-        clique = _exposed_clique_mask(current, n, d, masks[i], ridges)
-        return clique is not None and (not require_proper or clique.bit_count() > d)
+        clique = exposed_clique(link, masks[i])
+        return clique is not None and (not require_proper or clique != masks[i])
 
     return ok
 
@@ -227,19 +181,22 @@ def find_erasure_sequence(
     no sequence exists.
     """
     n, d = target.n, target.d
-    rem = [e for e in all_d_subsets(n, d) if e not in target]
-    rem_masks = [vertex_mask(e) for e in rem]
-    current = set(_ridge_table(n, d))
-    chosen = search.find(
-        len(rem),
-        _erasable(current, rem_masks, n, d, require_proper),
-        lambda i: current.discard(rem_masks[i]),
-        lambda i: current.add(rem_masks[i]),
-        greedy_only,
-    )
+    masks = d_subset_masks(n, d)
+    full = (1 << len(masks)) - 1
+    gone = full ^ target.circuit_index_mask
+    rem = [i for i in range(len(masks)) if gone >> i & 1]
+    rem_masks = [masks[i] for i in rem]
+    link = link_table(n, d, full)
+
+    def toggle(i: int) -> None:
+        toggle_circuit(link, rem_masks[i])
+
+    ok = _erasable(link, rem_masks, require_proper)
+    chosen = search.find(len(rem), ok, toggle, toggle, greedy_only)
     if chosen is None:
         return None
-    return replay_erasure_sequence(n, d, [rem[i] for i in chosen], require_proper)
+    subsets = all_d_subsets(n, d)
+    return replay_erasure_sequence(n, d, [subsets[rem[i]] for i in chosen], require_proper)
 
 
 def erasure_reachable_set(n: int, d: int, require_proper: bool = False) -> set[int]:
@@ -249,14 +206,29 @@ def erasure_reachable_set(n: int, d: int, require_proper: bool = False) -> set[i
     Removals only shrink the clutter, so a clutter is reachable iff its
     removed-set appears here.
     """
-    masks = list(_ridge_table(n, d))
-    total = len(masks)
+    return set(iter(_exposure_closure(n, d, 0, require_proper)))
+
+
+def _exposure_closure(n: int, d: int, start: int, require_proper: bool = False) -> dict[int, int]:
+    """``search.closure`` over (properly) exposed-circuit removals.
+
+    From ``start = 0`` a state is the set of circuits removed, from the
+    full mask the set left; either way a move toggles one circuit, so one
+    link table follows the closure from state to state.
+    """
+    masks = d_subset_masks(n, d)
+    link = link_table(n, d, (1 << len(masks)) - 1)
+    ok = _erasable(link, masks, require_proper)
+    shown = start  # the state that ``link`` shows
 
     def allowed(state: int):
-        current = {masks[i] for i in range(total) if not state >> i & 1}
-        return _erasable(current, masks, n, d, require_proper)
+        nonlocal shown
+        for i in mask_vertices(shown ^ state):
+            toggle_circuit(link, masks[i - 1])
+        shown = state
+        return ok
 
-    return set(iter(search.closure(total, allowed)))
+    return search.closure(len(masks), allowed, start)
 
 
 def is_erasure_chordal(clutter: Clutter, require_proper: bool = False) -> bool:

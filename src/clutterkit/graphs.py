@@ -1,9 +1,11 @@
 """Chordal-graph consequences: elimination orders, chromatic polynomials,
 minimum spanning trees by erasures, and the properly-exposed subgraph.
 
-Graphs are 2-clutters.  The heavy loops work on adjacency bitmask lists
-(``adj[v-1]`` has bit ``w-1`` set for each neighbor w), which the public
-Clutter-level functions wrap.
+Graphs are 2-clutters.  Edge exposure runs on the clutter link table
+(``clutter.exposed_clique``), whose d = 2 case is the adjacency list.
+Adjacency bitmask lists (``adj[v-1]`` has bit ``w-1`` set for each
+neighbor w) remain for elimination orders, connectivity and
+deletion-contraction.
 """
 
 from __future__ import annotations
@@ -12,8 +14,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import search
-from .clutter import Clutter, all_d_subsets
+from .clutter import (
+    Clutter,
+    SizeGuardError,
+    all_d_subsets,
+    exposed_clique,
+    link_table,
+    mask_vertices,
+    toggle_circuit,
+    vertex_mask,
+)
+from .erasures import _exposure_closure
 
 CHORDAL_CLASSIC_MAX_N = 12
 DELETION_CONTRACTION_MAX_N = 10
@@ -36,44 +47,26 @@ def adjacency_masks(graph: Clutter) -> list[int]:
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Clutter:
-    pairs = all_d_subsets(n, 2)
-    return Clutter(n, 2, tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+    return Clutter.from_index_mask(n, 2, mask)
 
 
-def _edge_exposed(adj: list[int], u: int, v: int) -> tuple[bool, int]:
-    """(exposed, clique mask) for edge uv via the common-neighborhood rule.
-
-    The edge lies in a unique maximal clique iff its common neighborhood
-    induces a complete graph; the clique is then uv plus that neighborhood.
-    """
-    common = adj[u - 1] & adj[v - 1]
-    m = common
-    while m:
-        low = m & -m
-        if adj[low.bit_length() - 1] & common != common ^ low:
-            return False, 0
-        m ^= low
-    return True, common | (1 << (u - 1)) | (1 << (v - 1))
-
-
-def _connected(adj: list[int], n: int) -> bool:
-    if n == 0:
-        return True
-    seen = 1
-    stack = [0]
+def _reach(adj, start: int) -> int:
+    """The mask of the vertices reachable from vertex ``start`` (0-based)."""
+    seen = 1 << start
+    stack = [start]
     while stack:
-        for_bit = adj[stack.pop()] & ~seen
-        while for_bit:
-            low = for_bit & -for_bit
+        rest = adj[stack.pop()] & ~seen
+        while rest:
+            low = rest & -rest
             seen |= low
             stack.append(low.bit_length() - 1)
-            for_bit ^= low
-    return seen == (1 << n) - 1
+            rest ^= low
+    return seen
 
 
 def graph_connected(graph: Clutter) -> bool:
     """Connectivity over the full vertex set {1..n} (isolated vertices count)."""
-    return _connected(adjacency_masks(graph), graph.n)
+    return _reach(adjacency_masks(graph), 0) == (1 << graph.n) - 1
 
 
 # -- chordality ----------------------------------------------------------------
@@ -83,7 +76,7 @@ def is_chordal_classic(graph: Clutter) -> bool:
     _require_graph(graph)
     n = graph.n
     if n > CHORDAL_CLASSIC_MAX_N:
-        raise ValueError(
+        raise SizeGuardError(
             f"size guard: induced-cycle scan needs n <= {CHORDAL_CLASSIC_MAX_N}, got n={n}"
         )
     adj = adjacency_masks(graph)
@@ -91,24 +84,12 @@ def is_chordal_classic(graph: Clutter) -> bool:
 
     for size in range(4, n + 1):
         for subset in combinations(range(n), size):
-            smask = 0
-            for v in subset:
-                smask |= 1 << v
+            smask = sum(1 << v for v in subset)
             # an induced cycle is connected and 2-regular
             if any((adj[v] & smask).bit_count() != 2 for v in subset):
                 continue
             sub_adj = [adj[v] & smask if smask >> v & 1 else 0 for v in range(n)]
-            start = subset[0]
-            seen = 1 << start
-            stack = [start]
-            while stack:
-                rest = sub_adj[stack.pop()] & ~seen
-                while rest:
-                    low = rest & -rest
-                    seen |= low
-                    stack.append(low.bit_length() - 1)
-                    rest ^= low
-            if seen == smask:
+            if _reach(sub_adj, subset[0]) == smask:
                 return False
     return True
 
@@ -257,28 +238,14 @@ def _components(masks: tuple[int, ...]) -> list[int]:
     unseen = (1 << k) - 1
     comps = []
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        stack = [start]
-        while stack:
-            nxt = masks[stack.pop()] & ~comp
-            while nxt:
-                low = nxt & -nxt
-                comp |= low
-                stack.append(low.bit_length() - 1)
-                nxt ^= low
+        comp = _reach(masks, (unseen & -unseen).bit_length() - 1)
         comps.append(comp)
         unseen &= ~comp
     return comps
 
 
 def _restrict(masks: tuple[int, ...], vmask: int) -> tuple[int, ...]:
-    keep = []
-    m = vmask
-    while m:
-        low = m & -m
-        keep.append(low.bit_length() - 1)
-        m ^= low
+    keep = [v - 1 for v in mask_vertices(vmask)]
     pos = {v: i for i, v in enumerate(keep)}
     out = []
     for v in keep:
@@ -360,7 +327,7 @@ def chromatic_polynomial_dc(graph: Clutter, memo: dict | None = None) -> Polynom
     """Deletion-contraction oracle (exact, exponential; guarded at n <= 10)."""
     _require_graph(graph)
     if graph.n > DELETION_CONTRACTION_MAX_N:
-        raise ValueError(
+        raise SizeGuardError(
             f"size guard: deletion-contraction needs n <= {DELETION_CONTRACTION_MAX_N}, "
             f"got n={graph.n}"
         )
@@ -429,23 +396,21 @@ def mst_by_erasures(weighted: WeightedGraph) -> tuple[frozenset, Fraction]:
         raise ValueError("erasure spanning trees need a connected graph")
     if perfect_elimination_ordering(graph) is None:
         raise ValueError("erasure spanning trees need a chordal graph")
-    adj = adjacency_masks(graph)
-    weights = {e: w for e, w in zip(graph.circuits, weighted.weights)}
-    edges = set(graph.circuits)
+    link = link_table(n, 2, graph.circuit_index_mask)
+    weights = dict(zip(graph.circuits, weighted.weights))
+    # heaviest first; the sort is stable, so equal weights stay in lex order
+    heaviest_first = sorted(graph.circuits, key=weights.__getitem__, reverse=True)
+    edges = [(e, vertex_mask(e)) for e in heaviest_first]
     while len(edges) > n - 1:
-        best = None
-        for e in sorted(edges):
-            exposed, clique = _edge_exposed(adj, *e)
-            if exposed and clique.bit_count() > 2:
-                if best is None or weights[e] > weights[best]:
-                    best = e
-        if best is None:
+        for k, (e, emask) in enumerate(edges):
+            if exposed_clique(link, emask) not in (None, emask):
+                break
+        else:
             raise RuntimeError("no properly exposed edge available; input was not chordal")
-        edges.remove(best)
-        u, v = best
-        adj[u - 1] &= ~(1 << (v - 1))
-        adj[v - 1] &= ~(1 << (u - 1))
-    return frozenset(edges), sum((weights[e] for e in edges), Fraction(0))
+        del edges[k]
+        toggle_circuit(link, emask)
+    tree = frozenset(e for e, _ in edges)
+    return tree, sum((weights[e] for e in tree), Fraction(0))
 
 
 # -- properly exposed subgraph -----------------------------------------------------
@@ -500,11 +465,11 @@ def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
     input just gets the computed verdicts.
     """
     _require_graph(graph)
-    adj = adjacency_masks(graph)
+    link = link_table(graph.n, 2, graph.circuit_index_mask)
     boundary = []
     for e in graph.circuits:
-        exposed, clique = _edge_exposed(adj, *e)
-        if exposed and clique.bit_count() > 2:
+        emask = vertex_mask(e)
+        if exposed_clique(link, emask) not in (None, emask):
             boundary.append(e)
     sub: dict[int, set[int]] = {}
     for u, v in boundary:
@@ -534,35 +499,18 @@ def enumerate_chordal_graphs(n: int) -> set[int]:
     (``search.closure``); removals only delete edges, so each chordal
     graph appears exactly once.
     """
-    pairs = all_d_subsets(n, 2)
-
-    def allowed(gmask: int):
-        adj = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if gmask >> i & 1:
-                adj[u - 1] |= 1 << (v - 1)
-                adj[v - 1] |= 1 << (u - 1)
-        return lambda i: _edge_exposed(adj, *pairs[i])[0]
-
-    return set(iter(search.closure(len(pairs), allowed, (1 << len(pairs)) - 1)))
+    return set(iter(_exposure_closure(n, 2, (1 << n * (n - 1) // 2) - 1)))
 
 
 def random_connected_chordal(n: int, rng: random.Random, target_edges: int | None = None) -> Clutter:
     """Random connected chordal graph via random proper erasures from K_n."""
     if target_edges is None:
         target_edges = rng.randint(n - 1, n * (n - 1) // 2)
-    adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
-    edges = set(all_d_subsets(n, 2))
+    link = link_table(n, 2, (1 << n * (n - 1) // 2) - 1)
+    edges = {e: vertex_mask(e) for e in all_d_subsets(n, 2)}  # lex order, kept on removal
     while len(edges) > target_edges:
-        candidates = []
-        for e in sorted(edges):
-            exposed, clique = _edge_exposed(adj, *e)
-            if exposed and clique.bit_count() > 2:
-                candidates.append(e)
+        candidates = [e for e, em in edges.items() if exposed_clique(link, em) not in (None, em)]
         if not candidates:
             break
-        u, v = rng.choice(candidates)
-        edges.remove((u, v))
-        adj[u - 1] &= ~(1 << (v - 1))
-        adj[v - 1] &= ~(1 << (u - 1))
+        toggle_circuit(link, edges.pop(rng.choice(candidates)))
     return Clutter(n, 2, tuple(sorted(edges)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .clutter import Clutter, all_d_subsets, vertex_mask
+from .clutter import Clutter, SizeGuardError, all_d_subsets, vertex_mask
 from .simplicial import SimplicialComplex
 
 FIELDS = ("gf2", "rational")
@@ -144,7 +144,7 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: str = "gf2") -> di
     if complex_.is_void:
         return {}
     if complex_.n > HOMOLOGY_MAX_N:
-        raise ValueError(
+        raise SizeGuardError(
             f"size guard: dense homology needs n <= {HOMOLOGY_MAX_N}, got n={complex_.n}"
         )
     levels = [
@@ -288,7 +288,7 @@ def hochster_betti_table(clutter: Clutter, field: str = "gf2") -> BettiTable:
     fld = _check_field(field)
     n, d = clutter.n, clutter.d
     if n > HOCHSTER_MAX_N:
-        raise ValueError(f"size guard: Hochster sweep needs n <= {HOCHSTER_MAX_N}, got n={n}")
+        raise SizeGuardError(f"size guard: Hochster sweep needs n <= {HOCHSTER_MAX_N}, got n={n}")
     if len(clutter) == len(all_d_subsets(n, d)):
         return BettiTable(zero_ideal=True)
     within = _within_table(n, d)

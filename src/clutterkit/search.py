@@ -24,9 +24,12 @@ def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: 
     ``ok(i)`` for moves out of ``state``.  States are expanded
     breadth-first, moves lowest index first, and a child already reached is
     skipped before ``ok`` is called.  ``start`` maps to -1; any other
-    state's parent is ``state ^ (1 << last[state])``.  A caller that needs
-    only the states copies them with ``set(iter(last))``: ``set(last)``
-    sizes its table for twice as many entries, which doubles its memory.
+    state's parent is ``state ^ (1 << last[state])``.  A state's ``ok`` is
+    done with before ``allowed`` is called for the next state, so
+    ``allowed`` may move one mutable context from state to state.  A caller
+    that needs only the states copies them with ``set(iter(last))``:
+    ``set(last)`` sizes its table for twice as many entries, which doubles
+    its memory.
     """
     full = (1 << total) - 1
     last = {start: -1}

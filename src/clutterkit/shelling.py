@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import search
-from .clutter import all_d_subsets
+from .clutter import SizeGuardError, all_d_subsets
 from .erasures import ErasureCertificate, replay_erasure_sequence
 from .homology import reduced_homology_dims
 from .simplicial import SimplicialComplex
@@ -125,7 +125,7 @@ class _ExtensionSpace:
         self.complex = complex_
         self.facets = list(complex_.facets)
         if len(self.facets) > EXTENDABILITY_MAX_FACETS:
-            raise ValueError(
+            raise SizeGuardError(
                 f"size guard: extendability search needs at most {EXTENDABILITY_MAX_FACETS} facets, "
                 f"got {len(self.facets)}"
             )

@@ -120,7 +120,9 @@ class SimplicialComplex:
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """Subsets that are not faces but all of whose proper subsets are."""
         if self.n > 20:
-            raise ValueError(f"size guard: nonface enumeration needs n <= 20, got n={self.n}")
+            from .clutter import SizeGuardError  # clutter imports this module
+
+            raise SizeGuardError(f"size guard: nonface enumeration needs n <= 20, got n={self.n}")
         out = []
         for size in range(0, self.n + 1):
             for s in itertools.combinations(range(1, self.n + 1), size):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import random
 
-from .clutter import Clutter, all_d_subsets
+from .clutter import Clutter, SizeGuardError, all_d_subsets, vertex_mask
 from .erasures import (
     betti_from_erasures,
     erasure_reachable_set,
@@ -20,7 +20,6 @@ from .erasures import (
     is_ridge_chordal,
 )
 from .graphs import (
-    _edge_exposed,
     adjacency_masks,
     chromatic_polynomial_product,
     _chromatic_dc,
@@ -30,7 +29,6 @@ from .graphs import (
     is_chordal_classic,
     kruskal_mst,
     mst_by_erasures,
-    perfect_elimination_ordering,
     properly_exposed_subgraph,
     random_connected_chordal,
     WeightedGraph,
@@ -44,11 +42,6 @@ from .ideals import (
 )
 
 
-def _clutter_from_circuit_mask(n: int, d: int, cmask: int) -> Clutter:
-    subsets = all_d_subsets(n, d)
-    return Clutter(n, d, tuple(subsets[i] for i in range(len(subsets)) if cmask >> i & 1))
-
-
 def _cert_checks(cert, table, n: int) -> list[str]:
     """Certificate-level cross checks: Betti agreement, colon/clique duality, h-vector."""
     problems = []
@@ -57,14 +50,9 @@ def _cert_checks(cert, table, n: int) -> list[str]:
     prefix: list[int] = []
     fullmask = (1 << n) - 1
     for step in cert.removed:
-        mmask = 0
-        for v in step.circuit:
-            mmask |= 1 << (v - 1)
+        mmask = vertex_mask(step.circuit)
         singles = _linear_divisor_mask(prefix, mmask)
-        kmask = 0
-        for v in step.clique:
-            kmask |= 1 << (v - 1)
-        if singles is None or singles != fullmask ^ kmask:
+        if singles is None or singles != fullmask ^ vertex_mask(step.clique):
             problems.append("colon-variables-vs-clique")
             break
         prefix.append(mmask)
@@ -83,6 +71,7 @@ def froberg_suite(n: int, greedy_metrics: bool = True, jobs: int = 1) -> dict:
     Certificates found get their Betti numbers, colon/clique duality, and
     h-vector identity checked on the spot.
     """
+    jobs = _check_jobs(jobs)
     nedges = n * (n - 1) // 2
     reach = erasure_reachable_set(n, 2)
     reach_proper = erasure_reachable_set(n, 2, require_proper=True)
@@ -177,15 +166,19 @@ def _froberg_chunk(args) -> dict:
     return out
 
 
+def _check_jobs(jobs: int) -> int:
+    """Reject ``jobs < 1``, before a suite does any work; clamp to the CPU count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _map_chunks(work, total: int, jobs: int, task) -> list:
     """``work(task(lo, hi))`` over contiguous chunks of ``range(total)``, in order.
 
-    One chunk per job; ``jobs`` is clamped to the CPU count, and with a
+    One chunk per job, ``jobs`` as ``_check_jobs`` returned it; with a
     single job the chunk runs in this process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
     step = max(1, -(-total // jobs))
     tasks = [task(lo, min(lo + step, total)) for lo in range(0, total, step)]
     if jobs == 1:
@@ -216,8 +209,7 @@ def connectivity_suite(max_n: int) -> dict:
 def clutter_erasure_suite(n: int, d: int) -> dict:
     """Proper-erasure reachability vs (linear quotients and small projective
     dimension), over every d-clutter on n vertices."""
-    subsets = all_d_subsets(n, d)
-    total = len(subsets)
+    total = len(all_d_subsets(n, d))
     full = (1 << total) - 1
     reach_proper = erasure_reachable_set(n, d, require_proper=True)
     qreach_small = quotient_reachable_set(n, d, small_only=True)
@@ -233,7 +225,7 @@ def clutter_erasure_suite(n: int, d: int) -> dict:
         "certificate_failures": [],
     }
     for cmask in range(1 << total):
-        clutter = _clutter_from_circuit_mask(n, d, cmask)
+        clutter = Clutter.from_index_mask(n, d, cmask)
         removed = full ^ cmask
         cert = find_erasure_sequence(clutter, require_proper=True)
         order = find_quotient_order(ideal_of_clutter(clutter.complement()))
@@ -268,8 +260,7 @@ def free_face_suite(n: int, d: int) -> dict:
     Runs over every d-clutter on n vertices; the facet count comes from an
     independent maximal-clique enumeration.
     """
-    subsets = all_d_subsets(n, d)
-    total = len(subsets)
+    total = len(all_d_subsets(n, d))
     report: dict = {
         "suite": "free-face",
         "n": n,
@@ -279,7 +270,7 @@ def free_face_suite(n: int, d: int) -> dict:
         "discrepancies": [],
     }
     for cmask in range(1 << total):
-        clutter = _clutter_from_circuit_mask(n, d, cmask)
+        clutter = Clutter.from_index_mask(n, d, cmask)
         facets = [set(f) for f in clutter.max_cliques()]
         for e in clutter.circuits:
             es = set(e)
@@ -294,6 +285,7 @@ def free_face_suite(n: int, d: int) -> dict:
 def chromatic_suite(max_n: int, jobs: int = 1) -> dict:
     """Elimination-product chromatic polynomial vs deletion-contraction,
     over every chordal graph with at most max_n vertices."""
+    jobs = _check_jobs(jobs)
     report: dict = {"suite": "chromatic", "max_n": max_n, "checked": 0, "mismatches": []}
     for n in range(2, max_n + 1):
         masks = sorted(enumerate_chordal_graphs(n))
@@ -386,13 +378,11 @@ def probe_simon(n: int, d: int) -> dict:
     reachable by exposed-circuit removals should itself contain an exposed
     circuit (unless it has none at all).  Counterexamples are reported as
     observations, never asserted."""
-    subsets = all_d_subsets(n, d)
-    total = len(subsets)
+    full = (1 << len(all_d_subsets(n, d))) - 1
     reach = erasure_reachable_set(n, d)
     counterexamples = []
     for removed in sorted(reach):
-        cmask = ((1 << total) - 1) ^ removed
-        clutter = _clutter_from_circuit_mask(n, d, cmask)
+        clutter = Clutter.from_index_mask(n, d, full ^ removed)
         if not clutter.circuits:
             continue
         if not any(clutter.exposed_status(e).exposed for e in clutter.circuits):
@@ -409,22 +399,18 @@ def probe_simon(n: int, d: int) -> dict:
 def probe_ridge_chordal(n: int, d: int) -> dict:
     """Probe: complement ideals with linear quotients should come from
     ridge-chordal clutters.  Counterexamples are observations only."""
-    subsets = all_d_subsets(n, d)
-    total = len(subsets)
+    full = (1 << len(all_d_subsets(n, d))) - 1
     reach = erasure_reachable_set(n, d)
-    checked = 0
     counterexamples = []
     for removed in sorted(reach):
-        cmask = ((1 << total) - 1) ^ removed
-        clutter = _clutter_from_circuit_mask(n, d, cmask)
-        checked += 1
+        clutter = Clutter.from_index_mask(n, d, full ^ removed)
         if clutter.circuits and not is_ridge_chordal(clutter):
             counterexamples.append(sorted(list(e) for e in clutter.circuits))
     return {
         "probe": "ridge-chordal",
         "n": n,
         "d": d,
-        "clutters_checked": checked,
+        "clutters_checked": len(reach),
         "counterexamples": counterexamples,
     }
 
@@ -435,10 +421,9 @@ def multiset_invariance_suite(n: int, d: int) -> dict:
     Enumerates every removal order for every reachable target; exponential,
     so meant for small n and d.
     """
-    subsets = all_d_subsets(n, d)
-    total = len(subsets)
+    total = len(all_d_subsets(n, d))
     if total > 8:
-        raise ValueError("size guard: full order enumeration needs at most 8 circuits")
+        raise SizeGuardError("size guard: full order enumeration needs at most 8 circuits")
     report: dict = {"suite": "k-multiset-invariance", "n": n, "d": d, "targets": 0, "failures": []}
 
     def orders(clutter: Clutter, target: Clutter, prefix):
@@ -456,7 +441,7 @@ def multiset_invariance_suite(n: int, d: int) -> dict:
             yield tuple(sorted(prefix))
 
     for cmask in range(1 << total):
-        target = _clutter_from_circuit_mask(n, d, cmask)
+        target = Clutter.from_index_mask(n, d, cmask)
         seen = {ks for ks in orders(Clutter.complete(n, d), target, [])}
         if len(seen) > 1:
             report["failures"].append([cmask, sorted(map(list, seen))])

@@ -251,3 +251,10 @@ def test_d_subset_guard_exit_code(capsys, tmp_path):
 def test_jobs_below_one_exit_code(capsys):
     code, _, err = run(capsys, "suite", "exhaustive", "chromatic", "--n", "4", "--jobs", "0")
     assert code == 2 and "jobs" in err
+
+
+def test_verify_size_guard_exit_code(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"n": 40, "d": 20, "removed": []}))
+    code, _, err = run(capsys, "erasures", "verify", str(path))
+    assert code == 2 and "size guard" in err and "Traceback" not in err

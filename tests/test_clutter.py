@@ -2,7 +2,17 @@ import itertools
 
 import pytest
 
-from clutterkit.clutter import Clutter, all_d_subsets
+from clutterkit.clutter import (
+    Clutter,
+    SizeGuardError,
+    all_d_subsets,
+    d_subset_masks,
+    exposed_clique,
+    link_table,
+    mask_vertices,
+    toggle_circuit,
+    vertex_mask,
+)
 
 
 def test_complement_of_complete_is_empty():
@@ -126,3 +136,53 @@ def test_degree_one_clutters():
 def test_induced_subclutter(bipyramid):
     sub = bipyramid.induced((2, 3, 4, 5))
     assert sub.circuits == ((2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
+
+
+def _kernel_status(link, emask):
+    clique = exposed_clique(link, emask)
+    if clique is None:
+        return (False, None, None)
+    return (True, mask_vertices(clique), clique != emask)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 2), (5, 2), (5, 3), (4, 1), (5, 4)])
+def test_link_table_kernel_matches_exposed_status(n, d):
+    # the searches' kernel vs the replay reference, on every circuit of every
+    # d-clutter on n vertices
+    for mask in range(1 << len(all_d_subsets(n, d))):
+        clutter = Clutter.from_index_mask(n, d, mask)
+        link = link_table(n, d, mask)
+        for e in clutter.circuits:
+            status = clutter.exposed_status(e)
+            assert _kernel_status(link, vertex_mask(e)) == (status.exposed, status.clique, status.proper)
+
+
+def test_toggle_circuit_matches_a_fresh_link_table():
+    full = (1 << 10) - 1
+    link = link_table(5, 3, full)
+    for i, emask in enumerate(d_subset_masks(5, 3)[::3]):
+        toggle_circuit(link, emask)
+        assert link == link_table(5, 3, full ^ sum(1 << 3 * j for j in range(i + 1)))
+    for emask in d_subset_masks(5, 3)[::3]:
+        toggle_circuit(link, emask)
+    assert link == link_table(5, 3, full)
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (5, 3)])
+def test_from_index_mask_matches_from_circuits(n, d):
+    subsets = all_d_subsets(n, d)
+    for mask in range(1 << len(subsets)):
+        trusted = Clutter.from_index_mask(n, d, mask)
+        checked = Clutter.from_circuits(n, d, [e for i, e in enumerate(subsets) if mask >> i & 1])
+        assert trusted == checked and trusted.circuit_index_mask == mask == checked.circuit_index_mask
+
+
+def test_from_index_mask_rejects_bad_sizes():
+    for n, d in [(3, 4), (3, 0), (0, 0)]:
+        with pytest.raises(ValueError, match="1 <= d <= n"):
+            Clutter.from_index_mask(n, d, 0)
+    with pytest.raises(SizeGuardError):
+        Clutter.from_index_mask(65, 2, 0)
+    for mask in (-1, 1 << 10):
+        with pytest.raises(ValueError, match="mask"):
+            Clutter.from_index_mask(5, 2, mask)

@@ -218,7 +218,8 @@ def test_enumerate_chordal_graphs_counts():
 
 
 def test_enumerate_matches_general_reachability():
-    # graph-specific enumeration vs the general-d erasure closure
+    # closure over removed-edge sets from the empty set vs closure over
+    # edge sets from the complete graph
     from clutterkit.erasures import erasure_reachable_set
 
     for n in (3, 4, 5, 6):

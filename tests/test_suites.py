@@ -57,6 +57,19 @@ def test_jobs_below_one_are_rejected(jobs):
         suites.froberg_suite(3, jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_are_checked_before_any_work(monkeypatch, jobs):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite started work before checking jobs")
+
+    monkeypatch.setattr(suites, "erasure_reachable_set", no_work)
+    monkeypatch.setattr(suites, "enumerate_chordal_graphs", no_work)
+    with pytest.raises(ValueError, match="jobs"):
+        suites.froberg_suite(6, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        suites.chromatic_suite(7, jobs=jobs)
+
+
 def test_connectivity_suite_small():
     report = suites.connectivity_suite(4)
     assert report["ok"] and report["checked"] == 2 + 8 + 64
