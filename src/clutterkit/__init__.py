@@ -6,8 +6,6 @@ from .homology import (
     BettiTable,
     hochster_betti_table,
     is_connected_graph_algebraic,
-    is_linear_resolution,
-    projective_dimension,
     reduced_homology_dims,
 )
 from .ideals import (

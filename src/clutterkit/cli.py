@@ -344,15 +344,9 @@ def _cmd_graph_boundary(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_probe(args) -> tuple[int, dict, list[str]]:
-    if args.kind == "simon":
-        report = suites.probe_simon(args.n, args.d)
-    elif args.kind == "ridge-chordal":
-        report = suites.probe_ridge_chordal(args.n, args.d)
-    else:
-        report = suites.froberg_suite(args.n, jobs=args.jobs)
-        report = {"probe": "froberg", **report}
-    count = len(report.get("counterexamples", report.get("discrepancies", [])))
-    return 0, report, [f"observations: {count} counterexample(s)"]
+    probe = suites.probe_simon if args.kind == "simon" else suites.probe_ridge_chordal
+    report = probe(args.n, args.d)
+    return 0, report, [f"observations: {len(report['counterexamples'])} counterexample(s)"]
 
 
 def _cmd_suite_exhaustive(args) -> tuple[int, dict, list[str]]:
@@ -360,19 +354,20 @@ def _cmd_suite_exhaustive(args) -> tuple[int, dict, list[str]]:
     if what == "froberg":
         report = suites.froberg_suite(args.n, jobs=args.jobs)
     elif what == "connectivity":
-        report = suites.connectivity_suite(args.n)
+        report = suites.connectivity_suite(args.n, jobs=args.jobs)
     elif what == "clutter-erasure":
-        report = suites.clutter_erasure_suite(args.n, args.d)
+        report = suites.clutter_erasure_suite(args.n, args.d, jobs=args.jobs)
     elif what == "chromatic":
         report = suites.chromatic_suite(args.n, jobs=args.jobs)
     elif what == "boundary":
-        report = suites.boundary_suite(args.n)
+        report = suites.boundary_suite(args.n, jobs=args.jobs)
     elif what == "free-face":
-        report = suites.free_face_suite(args.n, args.d)
+        report = suites.free_face_suite(args.n, args.d, jobs=args.jobs)
     elif what == "skeleton":
+        suites._check_jobs(args.jobs)  # one search in this process; --jobs is checked, not used
         report = suites.skeleton_extendability_suite(args.n)
     else:
-        report = suites.multiset_invariance_suite(args.n, args.d)
+        report = suites.multiset_invariance_suite(args.n, args.d, jobs=args.jobs)
     return (0 if report["ok"] else 1), report, [f"{what}: {'ok' if report['ok'] else 'FAILED'}"]
 
 
@@ -480,10 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(handler=handler)
 
     p = sub.add_parser("probe", help="conjecture probes (report-only, never assert)")
-    p.add_argument("kind", choices=("simon", "ridge-chordal", "froberg"))
+    p.add_argument("kind", choices=("simon", "ridge-chordal"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
     add_out(p)
     p.set_defaults(handler=_cmd_probe)
 

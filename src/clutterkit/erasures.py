@@ -15,6 +15,7 @@ from math import comb
 
 from . import search
 from .clutter import (
+    MAX_VERTICES,
     Clutter,
     all_d_subsets,
     d_subset_masks,
@@ -132,15 +133,16 @@ def _check_certificate_shape(data) -> None:
         isinstance(data, dict)
         and type(data.get("n")) is int
         and type(data.get("d")) is int
+        and 1 <= data["d"] <= data["n"] <= MAX_VERTICES
         and isinstance(data.get("removed"), list)
         and all(map(step, data["removed"]))
         and isinstance(data.get("result_circuits", []), list)
         and all(map(ints, data.get("result_circuits", [])))
     ):
         raise CertificateShapeError(
-            "a certificate is an object with integers n and d, a list removed of steps"
-            " (integer lists circuit and clique, integer k, boolean proper) and, optionally,"
-            " result_circuits as a list of integer lists"
+            f"a certificate is an object with integers n and d, 1 <= d <= n <= {MAX_VERTICES},"
+            " a list removed of steps (integer lists circuit and clique, integer k, boolean"
+            " proper) and, optionally, result_circuits as a list of integer lists"
         )
 
 

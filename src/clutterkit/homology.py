@@ -305,15 +305,6 @@ def hochster_betti_table(clutter: Clutter, field: str = "gf2") -> BettiTable:
     return BettiTable(entries=entries)
 
 
-def is_linear_resolution(table: BettiTable, degree: int) -> bool:
-    """True iff all Betti entries lie on j = i + degree (zero ideal: vacuously true)."""
-    return table.is_linear(degree)
-
-
-def projective_dimension(table: BettiTable) -> int:
-    return table.pdim
-
-
 def is_connected_graph_algebraic(graph: Clutter, field: str = "gf2") -> bool:
     """Graph connectivity read off the Betti table: pdim < n - 2.
 

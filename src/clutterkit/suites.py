@@ -3,7 +3,8 @@
 Each suite returns a JSON-serializable report whose ``ok`` field states
 whether every checked instance satisfied the property; witnesses for any
 failures are embedded so verdicts can be revalidated offline.  Reports are
-deterministic for a fixed configuration and seed.
+deterministic for a fixed configuration and seed.  Each exhaustive suite
+is a report skeleton and a per-instance row function, run by ``_sweep``.
 """
 
 from __future__ import annotations
@@ -89,81 +90,44 @@ def froberg_suite(n: int, greedy_metrics: bool = True, jobs: int = 1) -> dict:
         "proper_connectivity_failures": [],
         "greedy_failures": 0,
     }
-    chunks = _map_chunks(
-        _froberg_chunk,
-        1 << nedges,
-        jobs,
-        lambda lo, hi: (n, lo, hi, reach, reach_proper, qreach, greedy_metrics),
-    )
-    for chunk in chunks:
-        for key, value in chunk.items():
-            report[key] += value  # counts add, witness lists concatenate
-    for key in (
-        "discrepancies",
-        "field_disagreements",
-        "certificate_failures",
-        "proper_connectivity_failures",
-    ):
-        report[key].sort()
-    report["ok"] = (
-        report["closure_sets_equal"]
-        and not report["discrepancies"]
-        and not report["field_disagreements"]
-        and not report["certificate_failures"]
-        and not report["proper_connectivity_failures"]
-    )
-    return report
+    context = (n, (1 << nedges) - 1, reach, reach_proper, qreach, greedy_metrics)
+    return _sweep(report, _froberg_row, [(context, range(1 << nedges))], jobs)
 
 
-def _froberg_chunk(args) -> dict:
-    n, lo, hi, reach, reach_proper, qreach, greedy_metrics = args
-    nedges = n * (n - 1) // 2
-    full = (1 << nedges) - 1
-    out = {
-        "chordal_count": 0,
-        "h_vector_checked": 0,
-        "greedy_failures": 0,
-        "discrepancies": [],
-        "field_disagreements": [],
-        "certificate_failures": [],
-        "proper_connectivity_failures": [],
+def _froberg_row(context, gmask: int):
+    n, full, reach, reach_proper, qreach, greedy_metrics = context
+    graph = graph_from_edge_mask(n, gmask)
+    removed = full ^ gmask
+    chordal = is_chordal_classic(graph)
+    cert = find_erasure_sequence(graph)
+    order = find_quotient_order(ideal_of_clutter(graph.complement()))
+    table2 = hochster_betti_table(graph, "gf2")
+    tableq = hochster_betti_table(graph, "rational")
+    if table2 != tableq:
+        yield "field_disagreements", [gmask]
+    verdicts = {
+        "classic": chordal,
+        "erasure": cert is not None,
+        "linear_resolution": table2.is_linear(2),
+        "quotient_order": order is not None,
+        "erasure_closure": removed in reach,
+        "quotient_closure": removed in qreach,
     }
-    for gmask in range(lo, hi):
-        graph = graph_from_edge_mask(n, gmask)
-        removed = full ^ gmask
-        chordal = is_chordal_classic(graph)
-        cert = find_erasure_sequence(graph)
-        order = find_quotient_order(ideal_of_clutter(graph.complement()))
-        table2 = hochster_betti_table(graph, "gf2")
-        tableq = hochster_betti_table(graph, "rational")
-        if table2 != tableq:
-            out["field_disagreements"].append(gmask)
-        linear = table2.is_linear(2)
-        verdicts = {
-            "classic": chordal,
-            "erasure": cert is not None,
-            "linear_resolution": linear,
-            "quotient_order": order is not None,
-            "erasure_closure": removed in reach,
-            "quotient_closure": removed in qreach,
-        }
-        if len(set(verdicts.values())) != 1:
-            out["discrepancies"].append([gmask, verdicts])
-            continue
-        proper_ok = (removed in reach_proper) == (chordal and graph_connected(graph))
-        if not proper_ok:
-            out["proper_connectivity_failures"].append(gmask)
-        if chordal:
-            out["chordal_count"] += 1
-            if not table2.zero_ideal and table2.betti(0) != len(graph.complement()):
-                out["certificate_failures"].append([gmask, ["beta0-vs-generators"]])
-            problems = _cert_checks(cert, table2, n)
-            out["h_vector_checked"] += 1
-            if problems:
-                out["certificate_failures"].append([gmask, problems])
-            if greedy_metrics and find_erasure_sequence(graph, greedy_only=True) is None:
-                out["greedy_failures"] += 1
-    return out
+    if len(set(verdicts.values())) != 1:
+        yield "discrepancies", [[gmask, verdicts]]
+        return
+    if (removed in reach_proper) != (chordal and graph_connected(graph)):
+        yield "proper_connectivity_failures", [gmask]
+    if chordal:
+        yield "chordal_count", 1
+        if not table2.zero_ideal and table2.betti(0) != len(graph.complement()):
+            yield "certificate_failures", [[gmask, ["beta0-vs-generators"]]]
+        problems = _cert_checks(cert, table2, n)
+        yield "h_vector_checked", 1
+        if problems:
+            yield "certificate_failures", [[gmask, problems]]
+        if greedy_metrics and find_erasure_sequence(graph, greedy_only=True) is None:
+            yield "greedy_failures", 1
 
 
 def _check_jobs(jobs: int) -> int:
@@ -173,44 +137,73 @@ def _check_jobs(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _map_chunks(work, total: int, jobs: int, task) -> list:
-    """``work(task(lo, hi))`` over contiguous chunks of ``range(total)``, in order.
+def _sweep(report: dict, row, tasks, jobs: int) -> dict:
+    """Run ``row(context, key)`` over the keys of every ``(context, keys)`` task.
 
-    One chunk per job, ``jobs`` as ``_check_jobs`` returned it; with a
-    single job the chunk runs in this process.
+    A row yields ``(field, delta)`` pairs: an int adds to the report's
+    count, a list extends its witness list.  Each task's keys are split
+    into one contiguous chunk per job (``jobs`` as ``_check_jobs`` returned
+    it) and the chunks are merged in key order, so the report does not
+    depend on ``jobs``; a single job runs in this process.  ``row`` is a
+    module-level function and the contexts pickle, for the pool.  The
+    report is ok iff every witness list is empty and every bool holds.
     """
-    step = max(1, -(-total // jobs))
-    tasks = [task(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if jobs == 1:
-        return [work(t) for t in tasks]
-    import multiprocessing
+    for context, keys in tasks:
+        step = max(1, -(-len(keys) // jobs))
+        chunks = [(row, context, keys[lo : lo + step]) for lo in range(0, len(keys), step)]
+        if jobs == 1:
+            totals = map(_sweep_chunk, chunks)
+        else:
+            import multiprocessing
 
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(work, tasks)
+            with multiprocessing.Pool(jobs) as pool:
+                totals = pool.map(_sweep_chunk, chunks)
+        for chunk in totals:
+            for field, value in chunk.items():
+                report[field] += value
+    report["ok"] = all(
+        value if isinstance(value, bool) else not value
+        for value in report.values()
+        if isinstance(value, (bool, list))
+    )
+    return report
 
 
-def connectivity_suite(max_n: int) -> dict:
+def _sweep_chunk(args) -> dict:
+    row, context, keys = args
+    totals: dict = {}
+    for key in keys:
+        for field, delta in row(context, key):
+            if field in totals:
+                totals[field] += delta  # rows yield fresh lists, so extending in place is safe
+            else:
+                totals[field] = delta
+    return totals
+
+
+def connectivity_suite(max_n: int, jobs: int = 1) -> dict:
     """Graph-search connectivity against the Betti-table criterion, n = 2..max_n.
 
     (A single vertex admits no 2-clutter, so n = 1 has nothing to check.)
     """
+    jobs = _check_jobs(jobs)
     report: dict = {"suite": "connectivity", "max_n": max_n, "checked": 0, "discrepancies": []}
-    for n in range(2, max_n + 1):
-        nedges = n * (n - 1) // 2
-        for gmask in range(1 << nedges):
-            graph = graph_from_edge_mask(n, gmask)
-            if graph_connected(graph) != is_connected_graph_algebraic(graph):
-                report["discrepancies"].append([n, gmask])
-            report["checked"] += 1
-    report["ok"] = not report["discrepancies"]
-    return report
+    tasks = [(n, range(1 << (n * (n - 1) // 2))) for n in range(2, max_n + 1)]
+    return _sweep(report, _connectivity_row, tasks, jobs)
 
 
-def clutter_erasure_suite(n: int, d: int) -> dict:
+def _connectivity_row(n: int, gmask: int):
+    graph = graph_from_edge_mask(n, gmask)
+    yield "checked", 1
+    if graph_connected(graph) != is_connected_graph_algebraic(graph):
+        yield "discrepancies", [[n, gmask]]
+
+
+def clutter_erasure_suite(n: int, d: int, jobs: int = 1) -> dict:
     """Proper-erasure reachability vs (linear quotients and small projective
     dimension), over every d-clutter on n vertices."""
+    jobs = _check_jobs(jobs)
     total = len(all_d_subsets(n, d))
-    full = (1 << total) - 1
     reach_proper = erasure_reachable_set(n, d, require_proper=True)
     qreach_small = quotient_reachable_set(n, d, small_only=True)
     report: dict = {
@@ -224,42 +217,39 @@ def clutter_erasure_suite(n: int, d: int) -> dict:
         "discrepancies": [],
         "certificate_failures": [],
     }
-    for cmask in range(1 << total):
-        clutter = Clutter.from_index_mask(n, d, cmask)
-        removed = full ^ cmask
-        cert = find_erasure_sequence(clutter, require_proper=True)
-        order = find_quotient_order(ideal_of_clutter(clutter.complement()))
-        table = hochster_betti_table(clutter, "gf2")
-        pdim_small = table.zero_ideal or table.pdim < n - d
-        algebraic = order is not None and pdim_small
-        verdicts = {
-            "proper_erasure": cert is not None,
-            "quotients_and_pdim": algebraic,
-            "proper_closure": removed in reach_proper,
-        }
-        if len(set(verdicts.values())) != 1:
-            report["discrepancies"].append([cmask, verdicts])
-            continue
-        if cert is not None:
-            report["reachable_count"] += 1
-            problems = _cert_checks(cert, table, n)
-            report["h_vector_checked"] += 1
-            if problems:
-                report["certificate_failures"].append([cmask, problems])
-    report["ok"] = (
-        report["closure_sets_equal"]
-        and not report["discrepancies"]
-        and not report["certificate_failures"]
-    )
-    return report
+    context = (n, d, (1 << total) - 1, reach_proper)
+    return _sweep(report, _clutter_erasure_row, [(context, range(1 << total))], jobs)
 
 
-def free_face_suite(n: int, d: int) -> dict:
+def _clutter_erasure_row(context, cmask: int):
+    n, d, full, reach_proper = context
+    clutter = Clutter.from_index_mask(n, d, cmask)
+    cert = find_erasure_sequence(clutter, require_proper=True)
+    order = find_quotient_order(ideal_of_clutter(clutter.complement()))
+    table = hochster_betti_table(clutter, "gf2")
+    pdim_small = table.zero_ideal or table.pdim < n - d
+    verdicts = {
+        "proper_erasure": cert is not None,
+        "quotients_and_pdim": order is not None and pdim_small,
+        "proper_closure": (full ^ cmask) in reach_proper,
+    }
+    if len(set(verdicts.values())) != 1:
+        yield "discrepancies", [[cmask, verdicts]]
+    elif cert is not None:
+        yield "reachable_count", 1
+        problems = _cert_checks(cert, table, n)
+        yield "h_vector_checked", 1
+        if problems:
+            yield "certificate_failures", [[cmask, problems]]
+
+
+def free_face_suite(n: int, d: int, jobs: int = 1) -> dict:
     """Exposed circuits against unique-facet membership in the clique complex.
 
     Runs over every d-clutter on n vertices; the facet count comes from an
     independent maximal-clique enumeration.
     """
+    jobs = _check_jobs(jobs)
     total = len(all_d_subsets(n, d))
     report: dict = {
         "suite": "free-face",
@@ -269,17 +259,18 @@ def free_face_suite(n: int, d: int) -> dict:
         "circuits_checked": 0,
         "discrepancies": [],
     }
-    for cmask in range(1 << total):
-        clutter = Clutter.from_index_mask(n, d, cmask)
-        facets = [set(f) for f in clutter.max_cliques()]
-        for e in clutter.circuits:
-            es = set(e)
-            containing = sum(1 for f in facets if es <= f)
-            if clutter.exposed_status(e).exposed != (containing == 1):
-                report["discrepancies"].append([cmask, list(e)])
-            report["circuits_checked"] += 1
-    report["ok"] = not report["discrepancies"]
-    return report
+    return _sweep(report, _free_face_row, [((n, d), range(1 << total))], jobs)
+
+
+def _free_face_row(context, cmask: int):
+    clutter = Clutter.from_index_mask(*context, cmask)
+    facets = [set(f) for f in clutter.max_cliques()]
+    yield "circuits_checked", len(clutter.circuits)
+    for e in clutter.circuits:
+        es = set(e)
+        containing = sum(1 for f in facets if es <= f)
+        if clutter.exposed_status(e).exposed != (containing == 1):
+            yield "discrepancies", [[cmask, list(e)]]
 
 
 def chromatic_suite(max_n: int, jobs: int = 1) -> dict:
@@ -287,41 +278,38 @@ def chromatic_suite(max_n: int, jobs: int = 1) -> dict:
     over every chordal graph with at most max_n vertices."""
     jobs = _check_jobs(jobs)
     report: dict = {"suite": "chromatic", "max_n": max_n, "checked": 0, "mismatches": []}
-    for n in range(2, max_n + 1):
-        masks = sorted(enumerate_chordal_graphs(n))
-        chunks = _map_chunks(_chromatic_chunk, len(masks), jobs, lambda lo, hi: (n, masks[lo:hi]))
-        for checked, mismatches in chunks:
-            report["checked"] += checked
-            report["mismatches"].extend([n, m] for m in mismatches)
-    report["ok"] = not report["mismatches"]
-    return report
+    # The context carries one deletion-contraction memo, shared by a chunk's graphs.
+    tasks = (((n, {}), sorted(enumerate_chordal_graphs(n))) for n in range(2, max_n + 1))
+    return _sweep(report, _chromatic_row, tasks, jobs)
 
 
-def _chromatic_chunk(args) -> tuple[int, list[int]]:
-    n, masks = args
-    memo: dict = {}
-    mismatches = []
-    for gmask in masks:
-        graph = graph_from_edge_mask(n, gmask)
-        product = chromatic_polynomial_product(graph)
-        oracle = _chromatic_dc(tuple(adjacency_masks(graph)), memo)
-        if product.coeffs != oracle:
-            mismatches.append(gmask)
-    return len(masks), mismatches
+def _chromatic_row(context, gmask: int):
+    n, memo = context
+    graph = graph_from_edge_mask(n, gmask)
+    yield "checked", 1
+    product = chromatic_polynomial_product(graph)
+    if product.coeffs != _chromatic_dc(tuple(adjacency_masks(graph)), memo):
+        yield "mismatches", [[n, gmask]]
 
 
-def boundary_suite(max_n: int) -> dict:
+def boundary_suite(max_n: int, jobs: int = 1) -> dict:
     """Two-edge-connectivity of every properly-exposed subgraph component,
     over every chordal graph with at most max_n vertices."""
+    jobs = _check_jobs(jobs)
     report: dict = {"suite": "boundary", "max_n": max_n, "checked": 0, "failures": []}
-    for n in range(2, max_n + 1):
-        for gmask in sorted(enumerate_chordal_graphs(n)):
-            rep = properly_exposed_subgraph(graph_from_edge_mask(n, gmask))
-            if any(not ok for _, ok in rep.components):
-                report["failures"].append([n, gmask])
-            report["checked"] += 1
-    report["ok"] = not report["failures"]
-    return report
+    tasks = ((n, sorted(enumerate_chordal_graphs(n))) for n in range(2, max_n + 1))
+    return _sweep(report, _boundary_row, tasks, jobs)
+
+
+def _boundary_row(n: int, gmask: int):
+    yield "checked", 1
+    try:
+        rep = properly_exposed_subgraph(graph_from_edge_mask(n, gmask))
+        bridged = any(not ok for _, ok in rep.components)
+    except RuntimeError:  # its own check found a bridge in a chordal graph's boundary
+        bridged = True
+    if bridged:
+        yield "failures", [[n, gmask]]
 
 
 def mst_suite(count: int, max_n: int, seed: int) -> dict:
@@ -415,37 +403,39 @@ def probe_ridge_chordal(n: int, d: int) -> dict:
     }
 
 
-def multiset_invariance_suite(n: int, d: int) -> dict:
+def multiset_invariance_suite(n: int, d: int, jobs: int = 1) -> dict:
     """All complete erasure orders for one target share the k-multiset.
 
     Enumerates every removal order for every reachable target; exponential,
     so meant for small n and d.
     """
+    jobs = _check_jobs(jobs)
     total = len(all_d_subsets(n, d))
     if total > 8:
         raise SizeGuardError("size guard: full order enumeration needs at most 8 circuits")
     report: dict = {"suite": "k-multiset-invariance", "n": n, "d": d, "targets": 0, "failures": []}
+    return _sweep(report, _multiset_row, [((n, d), range(1 << total))], jobs)
 
-    def orders(clutter: Clutter, target: Clutter, prefix):
-        done = True
-        for e in clutter.circuits:
-            if e in target:
-                continue
-            done = False
-            status = clutter.exposed_status(e)
-            if status.exposed:
-                yield from orders(
-                    clutter.without(e), target, prefix + [n - len(status.clique)]
-                )
-        if done:
-            yield tuple(sorted(prefix))
 
-    for cmask in range(1 << total):
-        target = Clutter.from_index_mask(n, d, cmask)
-        seen = {ks for ks in orders(Clutter.complete(n, d), target, [])}
-        if len(seen) > 1:
-            report["failures"].append([cmask, sorted(map(list, seen))])
-        if seen:
-            report["targets"] += 1
-    report["ok"] = not report["failures"]
-    return report
+def _multiset_row(context, cmask: int):
+    n, d = context
+    target = Clutter.from_index_mask(n, d, cmask)
+    seen = set(_k_multisets(n, Clutter.complete(n, d), target, []))
+    if len(seen) > 1:
+        yield "failures", [[cmask, sorted(map(list, seen))]]
+    if seen:
+        yield "targets", 1
+
+
+def _k_multisets(n: int, clutter: Clutter, target: Clutter, prefix: list[int]):
+    """The sorted k-sequence of every complete erasure order from clutter down to target."""
+    done = True
+    for e in clutter.circuits:
+        if e in target:
+            continue
+        done = False
+        status = clutter.exposed_status(e)
+        if status.exposed:
+            yield from _k_multisets(n, clutter.without(e), target, prefix + [n - len(status.clique)])
+    if done:
+        yield tuple(sorted(prefix))

@@ -19,8 +19,6 @@ from clutterkit.erasures import (
 )
 from clutterkit.homology import (
     hochster_betti_table,
-    is_linear_resolution,
-    projective_dimension,
     reduced_homology_dims,
 )
 from clutterkit.ideals import (
@@ -85,10 +83,10 @@ def test_criterion_03_three_uniform_example():
     assert betti_from_erasures(cert) == [3, 3, 1]
     table = hochster_betti_table(cert.result, "gf2")
     assert table.betti_numbers() == [3, 3, 1]
-    assert is_linear_resolution(table, 3)
-    assert projective_dimension(table) == 2
+    assert table.is_linear(3)
+    assert table.pdim == 2
     worse = cert.result.without((2, 3, 4))
-    assert not is_linear_resolution(hochster_betti_table(worse, "gf2"), 3)
+    assert not hochster_betti_table(worse, "gf2").is_linear(3)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _announce(3, "3-uniform example: k = (0,1,2), Betti (3,3,1), linearity flips", elapsed)

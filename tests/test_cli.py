@@ -258,3 +258,20 @@ def test_verify_size_guard_exit_code(capsys, tmp_path):
     path.write_text(json.dumps({"n": 40, "d": 20, "removed": []}))
     code, _, err = run(capsys, "erasures", "verify", str(path))
     assert code == 2 and "size guard" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["froberg", "connectivity", "clutter-erasure", "chromatic", "boundary", "free-face", "skeleton", "multiset"],
+)
+def test_jobs_below_one_exit_code_for_every_kind(capsys, kind):
+    code, _, err = run(capsys, "suite", "exhaustive", kind, "--n", "4", "--jobs", "0")
+    assert code == 2 and "jobs" in err
+
+
+@pytest.mark.parametrize("n, d", [(3, 5), (0, 0), (65, 2)])
+def test_impossible_certificate_sizes_exit_code(capsys, tmp_path, n, d):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"n": n, "d": d, "removed": []}))
+    code, _, err = run(capsys, "erasures", "verify", str(path))
+    assert code == 2 and "Traceback" not in err and "certificate" in err

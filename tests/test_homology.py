@@ -9,8 +9,6 @@ from clutterkit.homology import (
     BettiTable,
     hochster_betti_table,
     is_connected_graph_algebraic,
-    is_linear_resolution,
-    projective_dimension,
     rank_exact,
     rank_gf2,
     reduced_homology_dims,
@@ -128,35 +126,35 @@ def test_hochster_tailed_triangle(tailed_triangle):
         table = hochster_betti_table(tailed_triangle, field)
         assert table.betti_numbers() == [5, 6, 2]
         assert table.entries == {(0, 2): 5, (1, 3): 6, (2, 4): 2}
-        assert projective_dimension(table) == 2
+        assert table.pdim == 2
 
 
 def test_hochster_bipyramid(bipyramid):
     table = hochster_betti_table(bipyramid, "gf2")
     assert table.betti_numbers() == [3, 3, 1]
-    assert is_linear_resolution(table, 3)
-    assert projective_dimension(table) == 2
+    assert table.is_linear(3)
+    assert table.pdim == 2
 
 
 def test_hochster_complete_clutter_zero_ideal():
     table = hochster_betti_table(Clutter.complete(4, 2), "gf2")
     assert table.zero_ideal
-    assert is_linear_resolution(table, 2)
+    assert table.is_linear(2)
     with pytest.raises(ValueError):
-        projective_dimension(table)
+        table.pdim
 
 
 def test_nonlinear_after_extra_generator(bipyramid):
     worse = bipyramid.without((2, 3, 4))
     table = hochster_betti_table(worse, "gf2")
-    assert not is_linear_resolution(table, 3)
+    assert not table.is_linear(3)
 
 
 def test_principal_ideal_pdim():
     clutter = Clutter.complete(4, 2).without((1, 2))
     table = hochster_betti_table(clutter, "gf2")
     assert table.betti_numbers() == [1]
-    assert projective_dimension(table) == 0
+    assert table.pdim == 0
 
 
 def test_hochster_beta0_counts_generators():

@@ -41,3 +41,45 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions and classes that no module in ``sources`` refers to.
+
+    A reference is a name, an attribute or an imported name anywhere in the
+    modules, apart from a definition's references to itself.
+    """
+    defined, referenced = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if own.startswith("_"):
+                    defined[own] = module
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return [f"{module}: {name}" for name, module in sorted(defined.items()) if name not in referenced]
+
+
+def test_the_scan_sees_an_unreferenced_private_definition():
+    sources = {
+        "a.py": "def _used(): ...\ndef _left(): return _left()\nclass _Kept: ...\n",
+        "b.py": "from a import _used\nimport a\nx = a._Kept\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a.py: _left"]
+
+
+def test_every_private_definition_is_referenced():
+    package = Path(__file__).resolve().parents[1] / "src" / "clutterkit"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import multiprocessing
 import os
 
@@ -125,3 +127,65 @@ def test_multiset_invariance_suite():
     assert report["ok"] and report["targets"] == 61
     with pytest.raises(ValueError, match="size guard"):
         suites.multiset_invariance_suite(5, 2)
+
+
+# SHA-256 of each report's canonical JSON (sorted keys, no spaces), recorded
+# before the suites shared one sweep engine.
+REPORT_DIGESTS = {
+    ("froberg_suite", (5,)): "c2a38164543b9466bfe89406a3367b578dcf520871fdc75455fd170f46c77f27",
+    ("connectivity_suite", (5,)): "f28996a73a3c4cd1de7e50994a9ed5f47c19ea2a96fffdbc2e23b4c2cfd9dfd5",
+    ("clutter_erasure_suite", (5, 3)): "42d003dd77403db6a43872ffa3f2ae0a9e0cf29df6758ccdd6841ad396a569c7",
+    ("free_face_suite", (5, 3)): "59773a38f0123730666dca2db28fceef738d2546fa350d2897bc718d6d43aa66",
+    ("chromatic_suite", (6,)): "2c649b5bff7306338de553ac19198c9a0e33ffd1acc8d2603c1512292705a768",
+    ("boundary_suite", (6,)): "b2b97173ee516790a189bf993641ad604bd1675b30fc542a87c855e92718dde4",
+    ("multiset_invariance_suite", (4, 2)): "6fcae41341758806b78e891e0bd13c4dffa9a2bbb8fcf2115d508cb38ba084e3",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name, args", list(REPORT_DIGESTS), ids=lambda value: str(value))
+def test_whole_reports_are_pinned(name, args, jobs):
+    report = getattr(suites, name)(*args, jobs=jobs)
+    canonical = json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canonical).hexdigest() == REPORT_DIGESTS[name, args]
+
+
+SMALL_SWEEPS = [
+    ("connectivity_suite", (4,)),
+    ("clutter_erasure_suite", (4, 3)),
+    ("free_face_suite", (4, 3)),
+    ("boundary_suite", (5,)),
+    ("multiset_invariance_suite", (4, 2)),
+]
+
+
+@pytest.mark.parametrize("name, args", SMALL_SWEEPS, ids=lambda value: str(value))
+def test_parallel_matches_serial(name, args):
+    suite = getattr(suites, name)
+    assert suite(*args) == suite(*args, jobs=2)
+
+
+@pytest.mark.parametrize("name, args", list(REPORT_DIGESTS), ids=lambda value: str(value))
+def test_every_sweep_checks_jobs_before_any_work(monkeypatch, name, args):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite started work before checking jobs")
+
+    for kernel in ("_sweep", "all_d_subsets", "erasure_reachable_set", "enumerate_chordal_graphs"):
+        monkeypatch.setattr(suites, kernel, no_work)
+    with pytest.raises(ValueError, match="jobs"):
+        getattr(suites, name)(*args, jobs=0)
+
+
+def test_boundary_witness_reaches_the_report(monkeypatch):
+    bridged = 0b111011  # K4 minus the edge 1-4, a chordal graph
+    original = suites.properly_exposed_subgraph
+
+    def fake(graph):
+        if graph.n == 4 and graph.circuit_index_mask == bridged:
+            raise RuntimeError("properly exposed subgraph of a chordal graph grew a bridge")
+        return original(graph)
+
+    monkeypatch.setattr(suites, "properly_exposed_subgraph", fake)
+    report = suites.boundary_suite(5)
+    assert report["failures"] == [[4, bridged]]
+    assert not report["ok"] and report["checked"] == 2 + 8 + 61 + 822
