@@ -29,7 +29,6 @@ from .erasures import (
     erasure_reachable_set,
     find_erasure_sequence,
     h_vector_check,
-    is_erasure_chordal,
     is_ridge_chordal,
     replay_erasure_sequence,
 )

@@ -208,15 +208,16 @@ def erasure_reachable_set(n: int, d: int, require_proper: bool = False) -> set[i
     Removals only shrink the clutter, so a clutter is reachable iff its
     removed-set appears here.
     """
-    return set(iter(_exposure_closure(n, d, 0, require_proper)))
+    return set(iter(search.closure(comb(n, d), _exposure_moves(n, d, 0, require_proper))))
 
 
-def _exposure_closure(n: int, d: int, start: int, require_proper: bool = False) -> dict[int, int]:
-    """``search.closure`` over (properly) exposed-circuit removals.
+def _exposure_moves(n: int, d: int, start: int, require_proper: bool = False):
+    """The ``search.closure`` move test for (properly) exposed-circuit removals.
 
     From ``start = 0`` a state is the set of circuits removed, from the
     full mask the set left; either way a move toggles one circuit, so one
-    link table follows the closure from state to state.
+    link table follows ``search.closure`` or ``search.stuck`` from state to
+    state.
     """
     masks = d_subset_masks(n, d)
     link = link_table(n, d, (1 << len(masks)) - 1)
@@ -230,12 +231,7 @@ def _exposure_closure(n: int, d: int, start: int, require_proper: bool = False) 
         shown = state
         return ok
 
-    return search.closure(len(masks), allowed, start)
-
-
-def is_erasure_chordal(clutter: Clutter, require_proper: bool = False) -> bool:
-    """True iff the clutter is reachable from the complete clutter by erasures."""
-    return find_erasure_sequence(clutter, require_proper) is not None
+    return allowed
 
 
 # -- Betti numbers from a certificate ----------------------------------------

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import search
 from .clutter import (
     Clutter,
     SizeGuardError,
@@ -24,7 +25,7 @@ from .clutter import (
     toggle_circuit,
     vertex_mask,
 )
-from .erasures import _exposure_closure
+from .erasures import _exposure_moves
 
 CHORDAL_CLASSIC_MAX_N = 12
 DELETION_CONTRACTION_MAX_N = 10
@@ -499,7 +500,9 @@ def enumerate_chordal_graphs(n: int) -> set[int]:
     (``search.closure``); removals only delete edges, so each chordal
     graph appears exactly once.
     """
-    return set(iter(_exposure_closure(n, 2, (1 << n * (n - 1) // 2) - 1)))
+    total = n * (n - 1) // 2
+    start = (1 << total) - 1
+    return set(iter(search.closure(total, _exposure_moves(n, 2, start), start)))
 
 
 def random_connected_chordal(n: int, rng: random.Random, target_edges: int | None = None) -> Clutter:

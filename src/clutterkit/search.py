@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .clutter import SizeGuardError
+
+MAX_MOVES = 25
+
 
 def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: int = 0) -> dict[int, int]:
     """Every state reachable from ``start``, mapped to the index of its last move.
@@ -29,8 +33,11 @@ def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: 
     ``allowed`` may move one mutable context from state to state.  A caller
     that needs only the states copies them with ``set(iter(last))``:
     ``set(last)`` sizes its table for twice as many entries, which doubles
-    its memory.
+    its memory.  Over ``MAX_MOVES`` moves it raises ``SizeGuardError``
+    before any work.
     """
+    if total > MAX_MOVES:
+        raise SizeGuardError(f"size guard: a subset closure needs at most {MAX_MOVES} moves, got {total}")
     full = (1 << total) - 1
     last = {start: -1}
     frontier = [start]
@@ -51,6 +58,25 @@ def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: 
                     new_frontier.append(child)
         frontier = new_frontier
     return last
+
+
+def stuck(total: int, allowed: Callable[[int], Callable[[int], bool]], states, start: int = 0) -> list[int]:
+    """The states, in the given order, that are not complete and allow no move.
+
+    ``allowed`` and ``start`` are as for ``closure``; a state is complete
+    when every move has been made.  Over states that ``closure`` reached,
+    a state that is not stuck has a move to a reached state one move on,
+    so none is stuck iff every reached state completes.
+    """
+    full = (1 << total) - 1
+    out = []
+    for state in states:
+        free = full ^ state ^ start
+        if free:
+            ok = allowed(state)
+            if not any(ok(i) for i in range(total) if free >> i & 1):
+                out.append(state)
+    return out
 
 
 def path(last: dict[int, int], state: int) -> list[int]:

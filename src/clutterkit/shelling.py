@@ -10,15 +10,13 @@ extends depends only on the set of facets placed, never on their order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from . import search
-from .clutter import SizeGuardError, all_d_subsets
+from .clutter import Clutter, all_d_subsets, mask_vertices
 from .erasures import ErasureCertificate, replay_erasure_sequence
+from .graphs import graph_connected
 from .homology import reduced_homology_dims
 from .simplicial import SimplicialComplex
-
-EXTENDABILITY_MAX_FACETS = 25
 
 
 @dataclass(frozen=True)
@@ -114,49 +112,28 @@ def shelling_to_erasures(shelling: ShellingOrder, d: int | None = None) -> Erasu
 
 # -- extendable shellability ---------------------------------------------------
 
-class _ExtensionSpace:
-    """Facet-subset search space with precomputed pairwise intersections."""
+def _shelling_moves(complex_: SimplicialComplex):
+    """The facets, and the ``search.closure`` test for adding facet f to a prefix."""
+    if not complex_.is_pure:
+        raise ValueError("extendability is defined for pure complexes only")
+    if complex_.is_void:
+        raise ValueError("extendability of the void complex is vacuous")
+    facets = list(complex_.facets)
+    ridge_size = len(facets[0]) - 1
+    sets = [set(f) for f in facets]
+    inter = [[a & b for b in sets] for a in sets]
 
-    def __init__(self, complex_: SimplicialComplex):
-        if not complex_.is_pure:
-            raise ValueError("extendability is defined for pure complexes only")
-        if complex_.is_void:
-            raise ValueError("extendability of the void complex is vacuous")
-        self.complex = complex_
-        self.facets = list(complex_.facets)
-        if len(self.facets) > EXTENDABILITY_MAX_FACETS:
-            raise SizeGuardError(
-                f"size guard: extendability search needs at most {EXTENDABILITY_MAX_FACETS} facets, "
-                f"got {len(self.facets)}"
-            )
-        self.size = len(self.facets[0])
-        sets = [set(f) for f in self.facets]
-        self.inter = [[a & b for b in sets] for a in sets]
-        self.full = (1 << len(self.facets)) - 1
+    def allowed(state: int):
+        members = [j - 1 for j in mask_vertices(state)]
 
-    def addable(self, state: int, f: int) -> bool:
-        if state == 0:
-            return True
-        row = self.inter[f]
-        members = []
-        s = state
-        while s:
-            low = s & -s
-            members.append(low.bit_length() - 1)
-            s ^= low
-        ridges = [row[j] for j in members if len(row[j]) == self.size - 1]
-        for j in members:
-            g = row[j]
-            if not any(g <= r for r in ridges):
-                return False
-        return True
+        def ok(f: int) -> bool:
+            row = inter[f]
+            ridges = [row[j] for j in members if len(row[j]) == ridge_size]
+            return all(any(row[j] <= r for r in ridges) for j in members)
 
-    def reachable_states(self) -> dict[int, int]:
-        """Every shelling prefix as a facet-index set, mapped to its last facet."""
-        return search.closure(len(self.facets), lambda state: partial(self.addable, state))
+        return ok
 
-    def order_for_state(self, last: dict[int, int], state: int) -> list[tuple[int, ...]]:
-        return [self.facets[f] for f in search.path(last, state)]
+    return facets, allowed
 
 
 @dataclass(frozen=True)
@@ -180,40 +157,18 @@ class ExtendabilityResult:
 def is_extendably_shellable(complex_: SimplicialComplex) -> ExtendabilityResult:
     """Exhaustively decide whether every partial shelling extends fully.
 
-    Runs a subset BFS for all shelling prefixes, then propagates
-    completability backwards; a reachable-but-not-completable facet set
-    yields an explicit stuck partial shelling as witness.
+    Runs a subset BFS for all shelling prefixes; a stuck prefix (no facet
+    addable, ``search.stuck``) of most facets is the witness.
     """
-    space = _ExtensionSpace(complex_)
-    last = space.reachable_states()
-    if space.full not in last:
+    facets, allowed = _shelling_moves(complex_)
+    last = search.closure(len(facets), allowed)
+    if (1 << len(facets)) - 1 not in last:
         raise ValueError("complex is not shellable")
-    completable: dict[int, bool] = {space.full: True}
-    nfac = len(space.facets)
-
-    states = sorted(last, key=lambda s: s.bit_count(), reverse=True)
-    for state in states:
-        if state in completable:
-            continue
-        ok = False
-        for f in range(nfac):
-            bit = 1 << f
-            if state & bit:
-                continue
-            if not space.addable(state, f):
-                continue
-            child = state | bit
-            # every addable child is itself a reachable prefix
-            if completable.get(child, False):
-                ok = True
-                break
-        completable[state] = ok
-
-    for state in states:
-        if not completable[state]:
-            witness = tuple(space.order_for_state(last, state))
-            return ExtendabilityResult(False, True, len(last), witness)
-    return ExtendabilityResult(True, True, len(last), None)
+    stuck = search.stuck(len(facets), allowed, last)
+    if not stuck:
+        return ExtendabilityResult(True, True, len(last), None)
+    witness = tuple(facets[f] for f in search.path(last, max(stuck, key=int.bit_count)))
+    return ExtendabilityResult(False, True, len(last), witness)
 
 
 def skeleton_complex(n: int, dim: int) -> SimplicialComplex:
@@ -245,13 +200,13 @@ def check_contractible_extendable(complex_: SimplicialComplex) -> dict:
         fail(f"facet count {len(complex_.facets)} differs from {expected}")
         return report
 
-    space = _ExtensionSpace(complex_)
-    last = space.reachable_states()
-    if space.full not in last:
+    facets, allowed = _shelling_moves(complex_)
+    last = search.closure(len(facets), allowed)
+    full = (1 << len(facets)) - 1
+    if full not in last:
         fail("complex is not shellable")
         return report
-    order = space.order_for_state(last, space.full)
-    shelling = verify_shelling(complex_, order)
+    shelling = verify_shelling(complex_, [facets[f] for f in search.path(last, full)])
     spheres = sum(1 for r in shelling.restricted_sets if len(r) == n - 2)
     report["full_restricted_steps"] = spheres
     homology = reduced_homology_dims(complex_, "rational")
@@ -269,20 +224,7 @@ def check_contractible_extendable(complex_: SimplicialComplex) -> dict:
         if tuple(sorted(everything - {u, v})) not in facet_set
     ]
     report["tree_edges"] = [list(e) for e in tree]
-    adj = {v: set() for v in range(1, n + 1)}
-    for u, v in tree:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    report["tree_is_spanning_tree"] = len(tree) == n - 1 and len(seen) == n
-
-    result = is_extendably_shellable(complex_)
-    report["extendable"] = result.extendable
-    report["partial_shellings_checked"] = result.states
+    report["tree_is_spanning_tree"] = len(tree) == n - 1 and graph_connected(Clutter(n, 2, tuple(tree)))
+    report["extendable"] = not search.stuck(len(facets), allowed, last)
+    report["partial_shellings_checked"] = len(last)
     return report

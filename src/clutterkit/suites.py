@@ -9,11 +9,15 @@ is a report skeleton and a per-instance row function, run by ``_sweep``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
+from math import comb
 
+from . import search
 from .clutter import Clutter, SizeGuardError, all_d_subsets, vertex_mask
 from .erasures import (
+    _exposure_moves,
     betti_from_erasures,
     erasure_reachable_set,
     find_erasure_sequence,
@@ -62,7 +66,7 @@ def _cert_checks(cert, table, n: int) -> list[str]:
     return problems
 
 
-def froberg_suite(n: int, greedy_metrics: bool = True, jobs: int = 1) -> dict:
+def froberg_suite(n: int, jobs: int = 1) -> dict:
     """Four-way chordality equivalence over every graph on n labeled vertices.
 
     Per graph: induced-cycle chordality, per-instance erasure search,
@@ -90,12 +94,12 @@ def froberg_suite(n: int, greedy_metrics: bool = True, jobs: int = 1) -> dict:
         "proper_connectivity_failures": [],
         "greedy_failures": 0,
     }
-    context = (n, (1 << nedges) - 1, reach, reach_proper, qreach, greedy_metrics)
+    context = (n, (1 << nedges) - 1, reach, reach_proper, qreach)
     return _sweep(report, _froberg_row, [(context, range(1 << nedges))], jobs)
 
 
 def _froberg_row(context, gmask: int):
-    n, full, reach, reach_proper, qreach, greedy_metrics = context
+    n, full, reach, reach_proper, qreach = context
     graph = graph_from_edge_mask(n, gmask)
     removed = full ^ gmask
     chordal = is_chordal_classic(graph)
@@ -126,7 +130,7 @@ def _froberg_row(context, gmask: int):
         yield "h_vector_checked", 1
         if problems:
             yield "certificate_failures", [[gmask, problems]]
-        if greedy_metrics and find_erasure_sequence(graph, greedy_only=True) is None:
+        if find_erasure_sequence(graph, greedy_only=True) is None:
             yield "greedy_failures", 1
 
 
@@ -144,23 +148,23 @@ def _sweep(report: dict, row, tasks, jobs: int) -> dict:
     count, a list extends its witness list.  Each task's keys are split
     into one contiguous chunk per job (``jobs`` as ``_check_jobs`` returned
     it) and the chunks are merged in key order, so the report does not
-    depend on ``jobs``; a single job runs in this process.  ``row`` is a
-    module-level function and the contexts pickle, for the pool.  The
-    report is ok iff every witness list is empty and every bool holds.
+    depend on ``jobs``; a single job runs in this process, more share one
+    pool for the whole sweep.  ``row`` is a module-level function and the
+    contexts pickle, for the pool.  The report is ok iff every witness
+    list is empty and every bool holds.
     """
-    for context, keys in tasks:
-        step = max(1, -(-len(keys) // jobs))
-        chunks = [(row, context, keys[lo : lo + step]) for lo in range(0, len(keys), step)]
-        if jobs == 1:
-            totals = map(_sweep_chunk, chunks)
-        else:
+    run = map
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(jobs) as pool:
-                totals = pool.map(_sweep_chunk, chunks)
-        for chunk in totals:
-            for field, value in chunk.items():
-                report[field] += value
+            run = stack.enter_context(multiprocessing.Pool(jobs)).map
+        for context, keys in tasks:
+            step = max(1, -(-len(keys) // jobs))
+            chunks = [(row, context, keys[lo : lo + step]) for lo in range(0, len(keys), step)]
+            for chunk in run(_sweep_chunk, chunks):
+                for field, value in chunk.items():
+                    report[field] += value
     report["ok"] = all(
         value if isinstance(value, bool) else not value
         for value in report.values()
@@ -364,17 +368,16 @@ def skeleton_extendability_suite(n: int) -> dict:
 def probe_simon(n: int, d: int) -> dict:
     """Probe of the reformulated extendability conjecture: every clutter
     reachable by exposed-circuit removals should itself contain an exposed
-    circuit (unless it has none at all).  Counterexamples are reported as
-    observations, never asserted."""
-    full = (1 << len(all_d_subsets(n, d))) - 1
-    reach = erasure_reachable_set(n, d)
-    counterexamples = []
-    for removed in sorted(reach):
-        clutter = Clutter.from_index_mask(n, d, full ^ removed)
-        if not clutter.circuits:
-            continue
-        if not any(clutter.exposed_status(e).exposed for e in clutter.circuits):
-            counterexamples.append(sorted(list(e) for e in clutter.circuits))
+    circuit (unless it has none at all), that is, no reached state is
+    stuck.  Counterexamples are reported as observations, never asserted."""
+    total = comb(n, d)
+    allowed = _exposure_moves(n, d, 0)
+    reach = search.closure(total, allowed)
+    full = (1 << total) - 1
+    counterexamples = [
+        sorted(list(e) for e in Clutter.from_index_mask(n, d, full ^ removed).circuits)
+        for removed in search.stuck(total, allowed, sorted(reach))
+    ]
     return {
         "probe": "simon-reformulated",
         "n": n,

@@ -209,6 +209,11 @@ def test_probes_run_with_zero_counterexamples():
     for n, d in ((6, 2), (5, 3)):
         simon = suites.probe_simon(n, d)
         assert simon["counterexamples"] == []
+    # every partial shelling of the 2-skeleton of the 5-simplex extends
+    simon_start = time.perf_counter()
+    simon = suites.probe_simon(6, 3)
+    assert simon["states_checked"] == 739_592 and simon["counterexamples"] == []
+    assert time.perf_counter() - simon_start < 60.0
     ridge = suites.probe_ridge_chordal(5, 3)
     assert ridge["counterexamples"] == []
     elapsed = time.perf_counter() - start

@@ -163,6 +163,16 @@ def test_shelling_commands(capsys, tmp_path):
     assert code == 0 and last_json(out)["extendable"]
 
 
+def test_shelling_extendable_reports_a_stuck_witness(capsys, tmp_path):
+    triangles = "123 124 125 136 145 235 246 256 345 346".split()
+    path = tmp_path / "stuck.txt"
+    path.write_text("6\n" + "\n".join(" ".join(t) for t in triangles) + "\n")
+    code, out, _ = run(capsys, "shelling", "extendable", str(path))
+    report = last_json(out)
+    assert code == 1 and not report["extendable"] and report["partial_shellings_checked"] == 181
+    assert report["stuck_witness"] == [[1, 3, 6], [3, 4, 6], [2, 4, 6], [2, 5, 6]]
+
+
 def test_probe_commands(capsys):
     code, out, _ = run(capsys, "probe", "simon", "--n", "4", "--d", "2")
     assert code == 0 and last_json(out)["counterexamples"] == []
@@ -189,6 +199,17 @@ def test_size_guard_exit_code(capsys, tmp_path):
     big.write_text("17 2\n")
     code, _, err = run(capsys, "betti", "hochster", str(big))
     assert code == 2 and "size guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("probe", "simon", "--n", "9", "--d", "3"), ("suite", "exhaustive", "froberg", "--n", "9")],
+)
+def test_closure_size_guard_exit_code(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "size guard" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_missing_file_exit_code(capsys):

@@ -11,7 +11,6 @@ from clutterkit.erasures import (
     erasure_reachable_set,
     find_erasure_sequence,
     h_vector_check,
-    is_erasure_chordal,
     is_ridge_chordal,
     replay_erasure_sequence,
 )
@@ -39,11 +38,11 @@ def test_find_erasure_sequence_complete_is_empty():
 
 
 def test_erasure_chordal_flags(bipyramid, tailed_triangle, four_cycle):
-    assert is_erasure_chordal(tailed_triangle)
-    assert not is_erasure_chordal(four_cycle)
-    assert is_erasure_chordal(bipyramid)
+    assert find_erasure_sequence(tailed_triangle) is not None
+    assert find_erasure_sequence(four_cycle) is None
+    assert find_erasure_sequence(bipyramid) is not None
     # the third removal (145) is exposed but improper, so proper-only fails
-    assert not is_erasure_chordal(bipyramid, require_proper=True)
+    assert find_erasure_sequence(bipyramid, require_proper=True) is None
 
 
 def test_replay_validates_the_documented_sequence():

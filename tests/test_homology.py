@@ -6,7 +6,6 @@ import pytest
 
 from clutterkit.clutter import Clutter, all_d_subsets
 from clutterkit.homology import (
-    BettiTable,
     hochster_betti_table,
     is_connected_graph_algebraic,
     rank_exact,

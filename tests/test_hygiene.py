@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
     path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "clutterkit").glob("*.py")
+    for path in (ROOT / "src" / "clutterkit").glob("*.py")
     if path.name != "__init__.py"  # the package namespace re-exports by import
-)
+) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,6 +81,6 @@ def test_the_scan_sees_an_unreferenced_private_definition():
 
 
 def test_every_private_definition_is_referenced():
-    package = Path(__file__).resolve().parents[1] / "src" / "clutterkit"
+    package = ROOT / "src" / "clutterkit"
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from clutterkit import search
-from clutterkit.clutter import Clutter, all_d_subsets
+from clutterkit.clutter import Clutter, SizeGuardError, all_d_subsets
 from clutterkit.erasures import find_erasure_sequence
 from clutterkit.ideals import find_quotient_order, ideal_of_clutter
 
@@ -86,6 +86,32 @@ def test_closure_matches_every_order(rule, start):
             assert rule(placed, i)
             placed ^= 1 << i
         assert placed == state
+
+
+@pytest.mark.parametrize("start", [0, (1 << TOTAL) - 1])
+@pytest.mark.parametrize("rule", RULES)
+def test_stuck_keeps_the_order_and_finds_every_dead_end(rule, start):
+    reached, orders = walks(rule, start)
+    states = sorted(reached, reverse=True)
+    complete = start ^ ((1 << TOTAL) - 1)
+    expected = [
+        state
+        for state in states
+        if state != complete and not any(rule(state, i) for i in range(TOTAL) if (state ^ complete) >> i & 1)
+    ]
+    assert search.stuck(TOTAL, lambda state: lambda i: rule(state, i), states, start) == expected
+    # a reached state that is not stuck moves on, so all complete iff none is stuck
+    completable = {start ^ sum(1 << i for i in order[:k]) for order in orders for k in range(TOTAL + 1)}
+    assert (expected == []) == (completable == reached)
+
+
+def test_closure_refuses_too_many_moves_before_any_work():
+    def no_work(state):
+        raise AssertionError("the closure started work before its size guard")
+
+    with pytest.raises(SizeGuardError, match="size guard"):
+        search.closure(search.MAX_MOVES + 1, no_work)
+    assert len(search.closure(search.MAX_MOVES, lambda state: lambda i: False)) == 1
 
 
 @pytest.mark.parametrize("rule", RULES)

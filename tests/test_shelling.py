@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from clutterkit import search, suites
 from clutterkit.clutter import Clutter, all_d_subsets
 from clutterkit.erasures import find_erasure_sequence, replay_erasure_sequence
+from clutterkit.homology import reduced_homology_dims
 from clutterkit.ideals import SquarefreeIdeal, verify_quotient_order
 from clutterkit.shelling import (
     check_contractible_extendable,
@@ -131,13 +133,13 @@ def test_extension_and_erasure_encodings_agree():
     # the same question: a prefix extends iff one more facet is addable,
     # and the dual clutter then has an exposed circuit off the target
     from clutterkit.erasures import erasure_reachable_set
-    from clutterkit.shelling import _ExtensionSpace
+    from clutterkit.shelling import _shelling_moves
 
     for n in (4, 5):
         skeleton = skeleton_complex(n, n - 3)
-        space = _ExtensionSpace(skeleton)
-        parents = space.reachable_states()
-        facet_index = {f: i for i, f in enumerate(space.facets)}
+        facets, allowed = _shelling_moves(skeleton)
+        parents = search.closure(len(facets), allowed)
+        facet_index = {f: i for i, f in enumerate(facets)}
         reach = erasure_reachable_set(n, 2)
         subsets = all_d_subsets(n, 2)
         everything = set(range(1, n + 1))
@@ -150,8 +152,44 @@ def test_extension_and_erasure_encodings_agree():
             translated.add(bits)
         assert translated == set(parents)
         # extension verdicts coincide with exposed-circuit availability
+        assert search.stuck(len(facets), allowed, parents) == []
         result = is_extendably_shellable(skeleton)
         assert result.extendable
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (6, 5)])
+def test_simon_probe_and_skeleton_extendability_agree(n, d):
+    # complements turn the partial shellings of the (n-d-1)-skeleton into
+    # the clutters reachable by erasures, and a stuck prefix into a clutter
+    # with circuits but none exposed
+    probe = suites.probe_simon(n, d)
+    result = is_extendably_shellable(skeleton_complex(n, n - d - 1))
+    assert probe["states_checked"] == result.states
+    assert (probe["counterexamples"] == []) == result.extendable
+
+
+# Contractible and shellable, 181 partial shellings, not extendable.
+STUCK_TRIANGLES = SimplicialComplex(6, (
+    (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 6), (1, 4, 5),
+    (2, 3, 5), (2, 4, 6), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+))
+STUCK_WITNESS = ((1, 3, 6), (3, 4, 6), (2, 4, 6), (2, 5, 6))
+
+
+def test_stuck_witness_is_pinned_and_checked():
+    result = is_extendably_shellable(STUCK_TRIANGLES)
+    assert (result.extendable, result.shellable, result.states) == (False, True, 181)
+    assert result.stuck_witness == STUCK_WITNESS
+    assert not any(reduced_homology_dims(STUCK_TRIANGLES, "rational").values())
+    # the witness shells its own facets, and no remaining facet extends it
+    prefix = SimplicialComplex(6, tuple(sorted(STUCK_WITNESS)))
+    assert verify_shelling(prefix, STUCK_WITNESS).valid
+    rest = [f for f in STUCK_TRIANGLES.facets if f not in STUCK_WITNESS]
+    assert len(rest) == 6
+    for facet in rest:
+        grown = SimplicialComplex(6, tuple(sorted(STUCK_WITNESS + (facet,))))
+        report = verify_shelling(grown, STUCK_WITNESS + (facet,))
+        assert not report.valid and report.failed_at == 5
 
 
 def test_extendably_shellable_skeletons_and_boundary():

@@ -47,7 +47,7 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, cpus, jobs, pool_size):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     RecordingPool.sizes = []
     assert (suites.froberg_suite(4, jobs=jobs), suites.chromatic_suite(5, jobs=jobs)) == serial
-    expected = [] if pool_size is None else [pool_size] * 5  # one froberg pool, one per chromatic n
+    expected = [] if pool_size is None else [pool_size] * 2  # one pool per sweep
     assert RecordingPool.sizes == expected
 
 
