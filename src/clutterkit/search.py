@@ -60,18 +60,18 @@ def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: 
     return last
 
 
-def stuck(total: int, allowed: Callable[[int], Callable[[int], bool]], states, start: int = 0) -> list[int]:
+def stuck(total: int, allowed: Callable[[int], Callable[[int], bool]], states) -> list[int]:
     """The states, in the given order, that are not complete and allow no move.
 
-    ``allowed`` and ``start`` are as for ``closure``; a state is complete
-    when every move has been made.  Over states that ``closure`` reached,
-    a state that is not stuck has a move to a reached state one move on,
-    so none is stuck iff every reached state completes.
+    ``allowed`` is as for ``closure`` from ``start = 0``; a state is
+    complete when every move has been made.  Over states that ``closure``
+    reached, a state that is not stuck has a move to a reached state one
+    move on, so none is stuck iff every reached state completes.
     """
     full = (1 << total) - 1
     out = []
     for state in states:
-        free = full ^ state ^ start
+        free = full ^ state
         if free:
             ok = allowed(state)
             if not any(ok(i) for i in range(total) if free >> i & 1):

@@ -113,17 +113,23 @@ def shelling_to_erasures(shelling: ShellingOrder, d: int | None = None) -> Erasu
 # -- extendable shellability ---------------------------------------------------
 
 def _shelling_moves(complex_: SimplicialComplex):
-    """The facets, and the ``search.closure`` test for adding facet f to a prefix."""
+    """The facets, and the ``search.closure`` test for adding facet f to a prefix.
+
+    The facet-by-facet intersection table is built on the first call of
+    ``allowed``, so a closure that refuses at its size guard never builds it.
+    """
     if not complex_.is_pure:
         raise ValueError("extendability is defined for pure complexes only")
     if complex_.is_void:
         raise ValueError("extendability of the void complex is vacuous")
     facets = list(complex_.facets)
     ridge_size = len(facets[0]) - 1
-    sets = [set(f) for f in facets]
-    inter = [[a & b for b in sets] for a in sets]
+    inter: list[list[set]] = []
 
     def allowed(state: int):
+        if not inter:
+            sets = [set(f) for f in facets]
+            inter.extend([a & b for b in sets] for a in sets)
         members = [j - 1 for j in mask_vertices(state)]
 
         def ok(f: int) -> bool:

@@ -88,20 +88,19 @@ def test_closure_matches_every_order(rule, start):
         assert placed == state
 
 
-@pytest.mark.parametrize("start", [0, (1 << TOTAL) - 1])
 @pytest.mark.parametrize("rule", RULES)
-def test_stuck_keeps_the_order_and_finds_every_dead_end(rule, start):
-    reached, orders = walks(rule, start)
+def test_stuck_keeps_the_order_and_finds_every_dead_end(rule):
+    reached, orders = walks(rule)
     states = sorted(reached, reverse=True)
-    complete = start ^ ((1 << TOTAL) - 1)
+    complete = (1 << TOTAL) - 1
     expected = [
         state
         for state in states
-        if state != complete and not any(rule(state, i) for i in range(TOTAL) if (state ^ complete) >> i & 1)
+        if state != complete and not any(rule(state, i) for i in range(TOTAL) if not state >> i & 1)
     ]
-    assert search.stuck(TOTAL, lambda state: lambda i: rule(state, i), states, start) == expected
+    assert search.stuck(TOTAL, lambda state: lambda i: rule(state, i), states) == expected
     # a reached state that is not stuck moves on, so all complete iff none is stuck
-    completable = {start ^ sum(1 << i for i in order[:k]) for order in orders for k in range(TOTAL + 1)}
+    completable = {sum(1 << i for i in order[:k]) for order in orders for k in range(TOTAL + 1)}
     assert (expected == []) == (completable == reached)
 
 

@@ -206,6 +206,23 @@ def test_extendability_rejects_unshellable_input():
         is_extendably_shellable(skeleton_complex(8, 5))
 
 
+def test_extendability_size_guard_fires_before_the_intersection_table():
+    # 286 facets: the facet-by-facet intersection table alone would take
+    # tens of megabytes, so a guard that fires after building it shows here
+    import tracemalloc
+
+    big = skeleton_complex(13, 2)
+    assert len(big.facets) == 286
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size guard"):
+            is_extendably_shellable(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_extendability_state_count_matches_chordal_graphs():
     # prefixes of the codimension-2 skeleton are exactly co-chordal edge sets
     from clutterkit.graphs import enumerate_chordal_graphs
