@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from . import search
@@ -292,47 +291,38 @@ def h_vector_check(cert: ErasureCertificate):
 
 # -- ridge chordality (breadth of comparison for the conjecture probes) -------
 
-def _is_simplicial_ridge(clutter: Clutter, ridge: tuple[int, ...]) -> bool:
-    """A ridge is simplicial iff its closed circuit-extension induces a complete subclutter."""
-    ext = set(ridge)
-    rs = set(ridge)
-    for e in clutter.circuits:
-        if rs <= set(e):
-            ext.update(e)
-    if ext == rs:
-        return False  # not contained in any circuit: not a ridge here
-    induced = clutter.induced(ext)
-    return all(c in induced for c in combinations(sorted(ext), clutter.d))
-
-
 def is_ridge_chordal(clutter: Clutter) -> bool:
     """Decide whether simplicial-ridge deletions can empty the clutter.
 
-    Removing a ridge deletes every circuit containing it; the search
-    backtracks over circuit sets (deletion outcomes depend only on the
-    current set, so failed states are memoized).
+    Move i deletes the i-th ridge r of the input (a (d-1)-subset of a
+    circuit, lex order) with every circuit r+v left through it, by
+    ``search.find`` on the link table.  r is simplicial iff r + link(r) is
+    a clique; for e = r+v, Q(e) lies in link(r) - v, so the exposure kernel
+    returns r + link(r) exactly then.  A ridge left in no circuit never
+    regains one, so deleting it is allowed and does nothing: every move
+    made means the clutter is empty.  The clutter at a state is the input
+    circuits through no deleted ridge, so the dead-set memo is sound.
     """
     if clutter.d < 2:
         raise ValueError("ridge chordality needs d >= 2")
+    link = link_table(clutter.n, clutter.d, clutter.circuit_index_mask)
+    ridges = [r for r, rlink in link.items() if rlink]
+    deleted = [0] * len(ridges)  # link[r] when ridge i was deleted
 
-    dead: set[frozenset] = set()
+    def ok(i: int) -> bool:
+        r = ridges[i]
+        rlink = link[r]
+        return not rlink or exposed_clique(link, r | (rlink & -rlink)) == r | rlink
 
-    def search(current: Clutter) -> bool:
-        if not current.circuits:
-            return True
-        key = frozenset(current.circuits)
-        if key in dead:
-            return False
-        ridges = sorted({r for e in current.circuits for r in combinations(e, current.d - 1)})
-        for ridge in ridges:
-            if not _is_simplicial_ridge(current, ridge):
-                continue
-            rs = set(ridge)
-            remaining = [e for e in current.circuits if not rs <= set(e)]
-            child = Clutter(current.n, current.d, tuple(remaining))
-            if search(child):
-                return True
-        dead.add(key)
-        return False
+    def toggle(i: int) -> None:
+        r, m = ridges[i], deleted[i]
+        while m:
+            low = m & -m
+            m ^= low
+            toggle_circuit(link, r | low)
 
-    return search(clutter)
+    def push(i: int) -> None:
+        deleted[i] = link[ridges[i]]
+        toggle(i)
+
+    return search.find(len(ridges), ok, push, toggle) is not None

@@ -1,11 +1,12 @@
 """The subset searches behind the erasure, quotient, chordal and shelling code.
 
 Each search makes moves 0..total-1 one at a time (erase a circuit, add a
-generator, delete an edge, add a facet), and whether a move may be made
-depends only on the set of moves already made, never on their order.  A
-state is that set as a bitmask.  So a breadth-first closure meets every
-reachable set exactly once, and a state with no complete continuation is
-dead whichever order reached it, which makes a dead-set memo sound.
+generator, delete an edge, add a facet, delete a ridge), and whether a
+move may be made depends only on the set of moves already made, never on
+their order.  A state is that set as a bitmask.  So a breadth-first
+closure meets every reachable set exactly once, and a state with no
+complete continuation is dead whichever order reached it, which makes a
+dead-set memo sound.
 
 Callers keep their own move tests (the exposure and colon kernels), so the
 clutter-side and ideal-side searches still check each other.
@@ -18,6 +19,12 @@ from typing import Callable
 from .clutter import SizeGuardError
 
 MAX_MOVES = 25
+
+
+def check_moves(total: int) -> None:
+    """Raise ``SizeGuardError`` if a closure over ``total`` moves is too big to run."""
+    if total > MAX_MOVES:
+        raise SizeGuardError(f"size guard: a subset closure needs at most {MAX_MOVES} moves, got {total}")
 
 
 def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: int = 0) -> dict[int, int]:
@@ -34,10 +41,9 @@ def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: 
     that needs only the states copies them with ``set(iter(last))``:
     ``set(last)`` sizes its table for twice as many entries, which doubles
     its memory.  Over ``MAX_MOVES`` moves it raises ``SizeGuardError``
-    before any work.
+    before any work (``check_moves``).
     """
-    if total > MAX_MOVES:
-        raise SizeGuardError(f"size guard: a subset closure needs at most {MAX_MOVES} moves, got {total}")
+    check_moves(total)
     full = (1 << total) - 1
     last = {start: -1}
     frontier = [start]

@@ -281,6 +281,7 @@ def chromatic_suite(max_n: int, jobs: int = 1) -> dict:
     """Elimination-product chromatic polynomial vs deletion-contraction,
     over every chordal graph with at most max_n vertices."""
     jobs = _check_jobs(jobs)
+    search.check_moves(max_n * (max_n - 1) // 2)
     report: dict = {"suite": "chromatic", "max_n": max_n, "checked": 0, "mismatches": []}
     # The context carries one deletion-contraction memo, shared by a chunk's graphs.
     tasks = (((n, {}), sorted(enumerate_chordal_graphs(n))) for n in range(2, max_n + 1))
@@ -300,6 +301,7 @@ def boundary_suite(max_n: int, jobs: int = 1) -> dict:
     """Two-edge-connectivity of every properly-exposed subgraph component,
     over every chordal graph with at most max_n vertices."""
     jobs = _check_jobs(jobs)
+    search.check_moves(max_n * (max_n - 1) // 2)
     report: dict = {"suite": "boundary", "max_n": max_n, "checked": 0, "failures": []}
     tasks = ((n, sorted(enumerate_chordal_graphs(n))) for n in range(2, max_n + 1))
     return _sweep(report, _boundary_row, tasks, jobs)

@@ -203,7 +203,12 @@ def test_size_guard_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [("probe", "simon", "--n", "9", "--d", "3"), ("suite", "exhaustive", "froberg", "--n", "9")],
+    [
+        ("probe", "simon", "--n", "9", "--d", "3"),
+        ("suite", "exhaustive", "froberg", "--n", "9"),
+        ("suite", "exhaustive", "chromatic", "--n", "8"),
+        ("suite", "exhaustive", "boundary", "--n", "8"),
+    ],
 )
 def test_closure_size_guard_exit_code(capsys, argv):
     start = time.perf_counter()

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -14,7 +15,7 @@ from clutterkit.erasures import (
     is_ridge_chordal,
     replay_erasure_sequence,
 )
-from clutterkit.graphs import graph_from_edge_mask, perfect_elimination_ordering
+from clutterkit.graphs import enumerate_chordal_graphs, graph_from_edge_mask, perfect_elimination_ordering
 
 
 def test_find_erasure_sequence_tailed_triangle(tailed_triangle):
@@ -174,10 +175,52 @@ def test_ridge_chordal_examples(bipyramid, four_cycle):
 
 
 def test_ridge_chordal_matches_elimination_on_graphs():
-    for gmask in range(1 << 10):
-        graph = graph_from_edge_mask(5, gmask)
-        expected = perfect_elimination_ordering(graph) is not None
-        assert is_ridge_chordal(graph) == expected
+    for n in range(2, 7):
+        chordal = enumerate_chordal_graphs(n)
+        for gmask in range(1 << comb(n, 2)):
+            graph = graph_from_edge_mask(n, gmask)
+            expected = perfect_elimination_ordering(graph) is not None
+            assert is_ridge_chordal(graph) == expected == (gmask in chordal)
+
+
+@pytest.mark.parametrize("n, d, count", [(4, 3, 16), (5, 3, 969), (5, 4, 32)])
+def test_ridge_chordal_clutters_are_the_erasure_reachable_ones(n, d, count):
+    full = (1 << comb(n, d)) - 1
+    ridge = {m for m in range(full + 1) if is_ridge_chordal(Clutter.from_index_mask(n, d, m))}
+    assert ridge == {full ^ removed for removed in erasure_reachable_set(n, d)}
+    assert len(ridge) == count
+
+
+def test_bipyramid_sphere_is_neither_ridge_chordal_nor_reachable():
+    sphere = [(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5)]
+    clutter = Clutter.from_circuits(5, 3, sphere)
+    assert clutter.circuit_index_mask == 222
+    assert not is_ridge_chordal(clutter)
+    assert find_erasure_sequence(clutter) is None
+    # the moves are the sphere's nine edges, not all C(12, 2) pairs
+    assert not is_ridge_chordal(Clutter.from_circuits(12, 3, sphere))
+
+
+def test_ridge_chordality_needs_d_at_least_2():
+    with pytest.raises(ValueError, match="d >= 2"):
+        is_ridge_chordal(Clutter.from_circuits(3, 1, [(1,), (2,)]))
+
+
+def test_ridge_chordal_and_erasure_verdicts_ignore_vertex_labels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+    @hypothesis.given(st.integers(0, (1 << 20) - 1), st.permutations(range(1, 7)))
+    def check(mask, perm):
+        clutter = Clutter.from_index_mask(6, 3, mask)
+        relabeled = Clutter.from_circuits(
+            6, 3, [tuple(sorted(perm[v - 1] for v in e)) for e in clutter.circuits]
+        )
+        assert is_ridge_chordal(relabeled) == is_ridge_chordal(clutter)
+        assert (find_erasure_sequence(relabeled) is None) == (find_erasure_sequence(clutter) is None)
+
+    check()
 
 
 def test_exposure_is_linear_division_pointwise():

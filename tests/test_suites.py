@@ -6,6 +6,7 @@ import os
 import pytest
 
 from clutterkit import suites
+from clutterkit.clutter import SizeGuardError
 
 
 def test_froberg_suite_small():
@@ -174,6 +175,16 @@ def test_every_sweep_checks_jobs_before_any_work(monkeypatch, name, args):
         monkeypatch.setattr(suites, kernel, no_work)
     with pytest.raises(ValueError, match="jobs"):
         getattr(suites, name)(*args, jobs=0)
+
+
+@pytest.mark.parametrize("name", ["chromatic_suite", "boundary_suite"])
+def test_chordal_sweeps_check_the_closure_guard_before_any_work(monkeypatch, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite enumerated graphs before its size guard")
+
+    monkeypatch.setattr(suites, "enumerate_chordal_graphs", no_work)
+    with pytest.raises(SizeGuardError, match="size guard"):
+        getattr(suites, name)(8)
 
 
 def test_boundary_witness_reaches_the_report(monkeypatch):
