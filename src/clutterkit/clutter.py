@@ -90,15 +90,10 @@ def toggle_circuit(link: dict[int, int], emask: int) -> None:
         m ^= low
 
 
-def exposed_clique(link: dict[int, int], emask: int) -> int | None:
-    """The mask of the unique maximal clique through circuit ``emask``, or None.
+def extensions(link: dict[int, int], emask: int) -> int:
+    """The mask of Q = {v : e+v is a clique} for circuit ``emask``.
 
-    With Q = {v : e+v is a clique}, e is exposed iff e+Q is a clique, and
-    then e+Q is that clique.  Q is the AND of ``link[s]`` over the
-    (d-1)-subsets s of e.  Every d-subset of e+Q other than e is r+v for a
-    (d-1)-subset r of e+Q not inside e and some v in Q - r, so e+Q is a
-    clique iff Q - r lies in ``link[r]`` for each such r; the scan over the
-    table's keys finds those r.
+    Q is the AND of ``link[s]`` over the (d-1)-subsets s of e.
     """
     q = ~emask
     m = emask
@@ -106,6 +101,19 @@ def exposed_clique(link: dict[int, int], emask: int) -> int | None:
         low = m & -m
         m ^= low
         q &= link[emask ^ low]
+    return q
+
+
+def exposed_clique(link: dict[int, int], emask: int) -> int | None:
+    """The mask of the unique maximal clique through circuit ``emask``, or None.
+
+    With Q = ``extensions(link, emask)``, e is exposed iff e+Q is a clique,
+    and then e+Q is that clique.  Every d-subset of e+Q other than e is r+v
+    for a (d-1)-subset r of e+Q not inside e and some v in Q - r, so e+Q is
+    a clique iff Q - r lies in ``link[r]`` for each such r; the scan over
+    the table's keys finds those r.
+    """
+    q = extensions(link, emask)
     closure = emask | q
     if q & (q - 1):  # with one extension vertex v, e+v is a clique by Q's definition
         for r, rlink in link.items():

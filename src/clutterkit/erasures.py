@@ -17,8 +17,10 @@ from .clutter import (
     MAX_VERTICES,
     Clutter,
     all_d_subsets,
+    d_subset_index,
     d_subset_masks,
     exposed_clique,
+    extensions,
     link_table,
     mask_vertices,
     toggle_circuit,
@@ -59,6 +61,7 @@ class ErasureCertificate:
 
     def validate(self) -> None:
         """Replay every removal from the complete clutter, checking exposure."""
+        index = d_subset_index(self.n, self.d)
         current = Clutter.complete(self.n, self.d)
         for idx, step in enumerate(self.removed, start=1):
             status = current.exposed_status(step.circuit)
@@ -70,7 +73,8 @@ class ErasureCertificate:
                 )
             if step.k != self.n - len(step.clique):
                 raise ValueError(f"step {idx}: recorded k = {step.k} is inconsistent")
-            current = current.without(step.circuit)
+            bit = 1 << index[tuple(sorted(step.circuit))]
+            current = Clutter.from_index_mask(self.n, self.d, current.circuit_index_mask & ~bit)
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,6 +151,7 @@ def _check_certificate_shape(data) -> None:
 
 def replay_erasure_sequence(n: int, d: int, circuits, require_proper: bool = False) -> ErasureCertificate:
     """Build (and validate) a certificate from an explicit removal order."""
+    index = d_subset_index(n, d)
     current = Clutter.complete(n, d)
     steps = []
     for e in circuits:
@@ -157,7 +162,7 @@ def replay_erasure_sequence(n: int, d: int, circuits, require_proper: bool = Fal
         if require_proper and not status.proper:
             raise ValueError(f"circuit {e} is exposed but not properly exposed")
         steps.append(RemovalStep(e, status.clique, n - len(status.clique), status.proper))
-        current = current.without(e)
+        current = Clutter.from_index_mask(n, d, current.circuit_index_mask & ~(1 << index[e]))
     return ErasureCertificate(n, d, tuple(steps))
 
 
@@ -171,6 +176,23 @@ def _erasable(link: dict[int, int], masks, require_proper: bool):
     return ok
 
 
+def _starves(link: dict[int, int], emask: int, kept) -> bool:
+    """Whether removing circuit ``emask`` leaves a circuit not in ``kept`` with Q empty."""
+    m = emask
+    while m:
+        x = m & -m
+        m ^= x
+        s = emask ^ x
+        others = link[s] ^ x
+        while others:
+            v = others & -others
+            others ^= v
+            f = s | v
+            if f not in kept and extensions(link, f) == x:
+                return True
+    return False
+
+
 def find_erasure_sequence(
     target: Clutter, require_proper: bool = False, greedy_only: bool = False
 ) -> ErasureCertificate | None:
@@ -180,6 +202,17 @@ def find_erasure_sequence(
     choice is the lexicographically first exposed one, with full
     backtracking over removal sets (``search.find``).  Returns None when
     no sequence exists.
+
+    With ``require_proper`` the backtracking search also refuses a removal
+    that leaves a circuit still to be removed with Q empty (the child is
+    *starved*).  Removing e = s+x (s a (d-1)-subset of e, x a vertex)
+    drops x from Q(f) = ``extensions(link, f)`` for exactly the circuits
+    f = s+v, v in link(s) - x, and changes no other Q.  Q only shrinks as
+    circuits go, so a circuit f still to be removed with Q(f) = {x} before
+    the move is never properly exposed after it: a starved child is dead,
+    and refusing it leaves the order returned the same.  ``greedy_only``
+    keeps its meaning, the first properly exposed circuit, so it does not
+    refuse.
     """
     n, d = target.n, target.d
     masks = d_subset_masks(n, d)
@@ -193,6 +226,12 @@ def find_erasure_sequence(
         toggle_circuit(link, rem_masks[i])
 
     ok = _erasable(link, rem_masks, require_proper)
+    if require_proper and not greedy_only:
+        proper, kept = ok, target.circuit_masks
+
+        def ok(i: int) -> bool:
+            return proper(i) and not _starves(link, rem_masks[i], kept)
+
     chosen = search.find(len(rem), ok, toggle, toggle, greedy_only)
     if chosen is None:
         return None

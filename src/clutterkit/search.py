@@ -101,9 +101,10 @@ def find(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
 
     ``ok(i)`` tests move i in the caller's context for the current state;
     ``push(i)`` makes the move in that context and ``pop(i)`` undoes it.
-    Moves are tried lowest index first, and a child known dead is skipped
-    after ``ok`` accepts it.  With ``greedy_only`` the search follows the
-    first accepted move at each state and fails as soon as that chain does.
+    Moves not yet made are tried lowest index first, and a child known dead
+    is skipped before ``ok`` is called for it.  With ``greedy_only`` the
+    search follows the first accepted move at each state and fails as soon
+    as that chain does.
     """
     full = (1 << total) - 1
     dead: set[int] = set()
@@ -111,14 +112,15 @@ def find(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
     state = 0
     start = 0
     while state != full:
-        for i in range(start, total):
-            bit = 1 << i
-            if state & bit or not ok(i):
+        free = (full ^ state) >> start << start
+        while free:
+            bit = free & -free
+            free ^= bit
+            if state | bit in dead:
                 continue
-            if state | bit not in dead:
+            i = bit.bit_length() - 1
+            if ok(i):
                 break
-            if greedy_only:
-                return None
         else:
             # no move out of this state completes: it is dead
             if not chosen or greedy_only:

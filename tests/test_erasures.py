@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from clutterkit import search
-from clutterkit.clutter import Clutter, all_d_subsets
+from clutterkit import erasures, search
+from clutterkit.clutter import Clutter, all_d_subsets, d_subset_masks, link_table, mask_vertices, toggle_circuit
 from clutterkit.erasures import (
     ErasureCertificate,
     betti_contribution,
@@ -219,6 +219,53 @@ def test_ridge_chordal_and_erasure_verdicts_ignore_vertex_labels():
         )
         assert is_ridge_chordal(relabeled) == is_ridge_chordal(clutter)
         assert (find_erasure_sequence(relabeled) is None) == (find_erasure_sequence(clutter) is None)
+
+    check()
+
+
+def unpruned_proper_order(target):
+    """The proper removal order found by ``search.find`` on the plain move test."""
+    n, d = target.n, target.d
+    full = (1 << comb(n, d)) - 1
+    gone = full ^ target.circuit_index_mask
+    rem = [m for i, m in enumerate(d_subset_masks(n, d)) if gone >> i & 1]
+    link = link_table(n, d, full)
+
+    def toggle(i):
+        toggle_circuit(link, rem[i])
+
+    chosen = search.find(len(rem), erasures._erasable(link, rem, True), toggle, toggle)
+    return None if chosen is None else [mask_vertices(rem[i]) for i in chosen]
+
+
+def proper_order(target):
+    cert = find_erasure_sequence(target, True)
+    return None if cert is None else [s.circuit for s in cert.removed]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_starvation_pruning_keeps_every_proper_order_at_5_vertices(d):
+    for mask in range(1 << comb(5, d)):
+        target = Clutter.from_index_mask(5, d, mask)
+        assert proper_order(target) == unpruned_proper_order(target)
+
+
+def test_starvation_pruning_keeps_the_proper_order():
+    # At most 12 removals: the unpruned reference walks every dead state,
+    # and at (7, 3) with 18 removals one target takes it about a second.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def targets(nd):
+        return st.tuples(st.just(nd), st.sets(st.integers(0, comb(*nd) - 1), max_size=12))
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None)
+    @hypothesis.given(st.sampled_from([(6, 3), (6, 4), (7, 3)]).flatmap(targets))
+    def check(case):
+        (n, d), removed = case
+        mask = (1 << comb(n, d)) - 1 - sum(1 << i for i in removed)
+        target = Clutter.from_index_mask(n, d, mask)
+        assert proper_order(target) == unpruned_proper_order(target)
 
     check()
 

@@ -124,6 +124,25 @@ def test_find_returns_least_order_and_greedy_never_beats_it(rule):
         assert greedy is None
 
 
+@pytest.mark.parametrize("rule", RULES)
+def test_find_never_tests_a_move_into_a_state_it_left(rule):
+    # a state is left only when it is dead, so the memo answers before the rule
+    placed, pushed = [0], set()
+
+    def ok(i):
+        assert placed[0] | 1 << i not in pushed
+        return rule(placed[0], i)
+
+    def push(i):
+        placed[0] |= 1 << i
+        pushed.add(placed[0])
+
+    def pop(i):
+        placed[0] &= ~(1 << i)
+
+    search.find(TOTAL, ok, push, pop)
+
+
 def test_find_with_no_moves_succeeds_at_once():
     assert search.find(0, None, None, None) == []
     assert search.path({0: -1}, 0) == []
@@ -152,3 +171,15 @@ def test_search_witnesses_are_pinned():
             ])
     digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
     assert digest == "c7b21e0cf8323d60f6bb30a57dd7f188be8d5bcacfcd26676d4e3b3d7c8f9e94"
+
+
+def test_greedy_proper_orders_are_pinned():
+    # Greedy proper orders over every graph and every 3-clutter on 5 vertices,
+    # as the search returned them before it pruned starved children.
+    rows = []
+    for d in (2, 3):
+        for mask in range(1 << len(all_d_subsets(5, d))):
+            target = Clutter.from_index_mask(5, d, mask)
+            rows.append([d, mask, removal_order(find_erasure_sequence(target, True, True))])
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "9f421e708e829ea5ab9b39e17cc0ae601d1bbe85d4f9f651d3b3ae6fed465ad3"
