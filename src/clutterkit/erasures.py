@@ -16,6 +16,7 @@ from . import search
 from .clutter import (
     MAX_VERTICES,
     Clutter,
+    _check_size,
     all_d_subsets,
     d_subset_index,
     d_subset_masks,
@@ -60,21 +61,11 @@ class ErasureCertificate:
         return all(s.proper for s in self.removed)
 
     def validate(self) -> None:
-        """Replay every removal from the complete clutter, checking exposure."""
-        index = d_subset_index(self.n, self.d)
-        current = Clutter.complete(self.n, self.d)
-        for idx, step in enumerate(self.removed, start=1):
-            status = current.exposed_status(step.circuit)
-            if not status.exposed:
-                raise ValueError(f"step {idx}: circuit {step.circuit} is not exposed")
-            if status.clique != step.clique or status.proper != step.proper:
-                raise ValueError(
-                    f"step {idx}: recorded clique {step.clique} does not match {status.clique}"
-                )
-            if step.k != self.n - len(step.clique):
-                raise ValueError(f"step {idx}: recorded k = {step.k} is inconsistent")
-            bit = 1 << index[tuple(sorted(step.circuit))]
-            current = Clutter.from_index_mask(self.n, self.d, current.circuit_index_mask & ~bit)
+        """Replay the recorded circuits; every recorded step must equal the replayed one."""
+        replayed = replay_erasure_sequence(self.n, self.d, [s.circuit for s in self.removed])
+        for idx, (step, replay) in enumerate(zip(self.removed, replayed.removed), start=1):
+            if step != replay:
+                raise ValueError(f"step {idx}: recorded {step} does not match the replay {replay}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,24 +145,27 @@ def replay_erasure_sequence(n: int, d: int, circuits, require_proper: bool = Fal
     index = d_subset_index(n, d)
     current = Clutter.complete(n, d)
     steps = []
-    for e in circuits:
+    for idx, e in enumerate(circuits, start=1):
         e = tuple(sorted(e))
         status = current.exposed_status(e)
         if not status.exposed:
-            raise ValueError(f"circuit {e} is not exposed at its removal time")
+            raise ValueError(f"step {idx}: circuit {e} is not exposed at its removal time")
         if require_proper and not status.proper:
-            raise ValueError(f"circuit {e} is exposed but not properly exposed")
+            raise ValueError(f"step {idx}: circuit {e} is exposed but not properly exposed")
         steps.append(RemovalStep(e, status.clique, n - len(status.clique), status.proper))
         current = Clutter.from_index_mask(n, d, current.circuit_index_mask & ~(1 << index[e]))
     return ErasureCertificate(n, d, tuple(steps))
 
 
 def _erasable(link: dict[int, int], masks, require_proper: bool):
-    """The test whether circuit ``masks[i]`` is (properly) exposed in ``link``."""
+    """The test for circuit ``masks[i]``: its clique mask when it is (properly)
+    exposed in ``link``, else 0."""
 
-    def ok(i: int) -> bool:
+    def ok(i: int) -> int:
         clique = exposed_clique(link, masks[i])
-        return clique is not None and (not require_proper or clique != masks[i])
+        if clique is None or require_proper and clique == masks[i]:
+            return 0
+        return clique
 
     return ok
 
@@ -255,8 +249,10 @@ def _exposure_moves(n: int, d: int, start: int, require_proper: bool = False):
     From ``start = 0`` a state is the set of circuits removed, from the
     full mask the set left; either way a move toggles one circuit, so one
     link table follows ``search.closure`` or ``search.stuck`` from state to
-    state.
+    state.  The test returns the clique mask (``_erasable``).  Impossible
+    sizes raise ``ValueError`` before any table is built.
     """
+    _check_size(n, d)
     masks = d_subset_masks(n, d)
     link = link_table(n, d, (1 << len(masks)) - 1)
     ok = _erasable(link, masks, require_proper)

@@ -423,47 +423,14 @@ class BoundaryReport:
     input_chordal: bool
 
 
-def _bridges(adj: dict[int, set[int]], start: int, seen: set[int]) -> bool:
-    """DFS lowlink bridge detection over one component; True iff bridge-free."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {start: None}
-    counter = 0
-    stack = [(start, iter(adj[start]))]
-    disc[start] = low[start] = counter
-    counter += 1
-    bridge_free = True
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in disc:
-                parent[w] = v
-                disc[w] = low[w] = counter
-                counter += 1
-                stack.append((w, iter(adj[w])))
-                advanced = True
-                break
-            if w != parent[v]:
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] > disc[p]:
-                    bridge_free = False
-    seen.update(disc)
-    return bridge_free
-
-
 def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
     """Edge-induced subgraph on the properly exposed edges, with
     2-edge-connectivity verdicts per component.
 
-    For chordal input every component must be 2-edge-connected; a violation
-    is raised as it contradicts an invariant of erasures.  Non-chordal
-    input just gets the computed verdicts.
+    A component is 2-edge-connected iff deleting any one of its edges uv
+    leaves v reachable from u.  For chordal input every component must be
+    2-edge-connected; a violation is raised as it contradicts an invariant
+    of erasures.  Non-chordal input just gets the computed verdicts.
     """
     _require_graph(graph)
     link = link_table(graph.n, 2, graph.circuit_index_mask)
@@ -472,19 +439,22 @@ def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
         emask = vertex_mask(e)
         if exposed_clique(link, emask) not in (None, emask):
             boundary.append(e)
-    sub: dict[int, set[int]] = {}
+    adj = [0] * graph.n
     for u, v in boundary:
-        sub.setdefault(u, set()).add(v)
-        sub.setdefault(v, set()).add(u)
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+
+    def bridge(u: int, v: int) -> bool:
+        rest = list(adj)
+        rest[u - 1] ^= 1 << (v - 1)
+        rest[v - 1] ^= 1 << (u - 1)
+        return not _reach(rest, u - 1) >> (v - 1) & 1
+
     components = []
-    visited: set[int] = set()
-    for v in sorted(sub):
-        if v in visited:
-            continue
-        comp_seen: set[int] = set()
-        ok = _bridges(sub, v, comp_seen)
-        visited |= comp_seen
-        components.append((tuple(sorted(comp_seen)), ok))
+    for comp in _components(adj):
+        if comp & (comp - 1):  # the components with an edge
+            ok = not any(bridge(u, v) for u, v in boundary if comp >> (u - 1) & 1)
+            components.append((mask_vertices(comp), ok))
     chordal = perfect_elimination_ordering(graph) is not None
     if chordal and any(not ok for _, ok in components):
         raise RuntimeError("properly exposed subgraph of a chordal graph grew a bridge")

@@ -260,6 +260,27 @@ def find_quotient_order(ideal: SquarefreeIdeal, greedy_only: bool = False) -> Sq
     return ideal.reordered([order[i] for i in chosen])
 
 
+def _quotient_moves(masks, limit: int | None = None):
+    """The ``search.closure`` test for adding generator ``masks[i]`` to a state.
+
+    A state is the set of generators placed; the move is allowed when the
+    colon of their ideal by ``masks[i]`` is variable-generated
+    (``_linear_divisor_mask``), with fewer than ``limit`` variables when a
+    limit is given.
+    """
+
+    def allowed(state: int):
+        prefix = [masks[i - 1] for i in mask_vertices(state)]
+
+        def ok(i: int) -> bool:
+            singles = _linear_divisor_mask(prefix, masks[i])
+            return singles is not None and (limit is None or singles.bit_count() < limit)
+
+        return ok
+
+    return allowed
+
+
 def quotient_reachable_set(n: int, d: int, small_only: bool = False) -> set[int]:
     """All squarefree degree-d ideals buildable one linear divisor at a time.
 
@@ -269,16 +290,5 @@ def quotient_reachable_set(n: int, d: int, small_only: bool = False) -> set[int]
     also have colon count < n - d.
     """
     masks = [vertex_mask(e) for e in all_d_subsets(n, d)]
-    total = len(masks)
-    limit = n - d
-
-    def allowed(state: int):
-        prefix = [masks[i] for i in range(total) if state >> i & 1]
-
-        def ok(i: int) -> bool:
-            singles = _linear_divisor_mask(prefix, masks[i])
-            return singles is not None and not (small_only and singles.bit_count() >= limit)
-
-        return ok
-
-    return set(iter(search.closure(total, allowed)))
+    moves = _quotient_moves(masks, n - d if small_only else None)
+    return set(iter(search.closure(len(masks), moves)))

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import search
-from .clutter import Clutter, all_d_subsets, mask_vertices
+from .clutter import Clutter, all_d_subsets, vertex_mask
 from .erasures import ErasureCertificate, replay_erasure_sequence
 from .graphs import graph_connected
 from .homology import reduced_homology_dims
+from .ideals import _quotient_moves
 from .simplicial import SimplicialComplex
 
 
@@ -115,31 +116,17 @@ def shelling_to_erasures(shelling: ShellingOrder, d: int | None = None) -> Erasu
 def _shelling_moves(complex_: SimplicialComplex):
     """The facets, and the ``search.closure`` test for adding facet f to a prefix.
 
-    The facet-by-facet intersection table is built on the first call of
-    ``allowed``, so a closure that refuses at its size guard never builds it.
+    Facets shell in an order iff their complements' monomials have linear
+    quotients in it, so the test is the colon kernel on the complements
+    (``ideals._quotient_moves``).
     """
     if not complex_.is_pure:
         raise ValueError("extendability is defined for pure complexes only")
     if complex_.is_void:
         raise ValueError("extendability of the void complex is vacuous")
     facets = list(complex_.facets)
-    ridge_size = len(facets[0]) - 1
-    inter: list[list[set]] = []
-
-    def allowed(state: int):
-        if not inter:
-            sets = [set(f) for f in facets]
-            inter.extend([a & b for b in sets] for a in sets)
-        members = [j - 1 for j in mask_vertices(state)]
-
-        def ok(f: int) -> bool:
-            row = inter[f]
-            ridges = [row[j] for j in members if len(row[j]) == ridge_size]
-            return all(any(row[j] <= r for r in ridges) for j in members)
-
-        return ok
-
-    return facets, allowed
+    full = (1 << complex_.n) - 1
+    return facets, _quotient_moves([full ^ vertex_mask(f) for f in facets])
 
 
 @dataclass(frozen=True)

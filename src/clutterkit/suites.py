@@ -4,7 +4,8 @@ Each suite returns a JSON-serializable report whose ``ok`` field states
 whether every checked instance satisfied the property; witnesses for any
 failures are embedded so verdicts can be revalidated offline.  Reports are
 deterministic for a fixed configuration and seed.  Each exhaustive suite
-is a report skeleton and a per-instance row function, run by ``_sweep``.
+is a report skeleton and a per-instance row function, run by ``_sweep``,
+except the k-multiset suite, which is one pass over an erasure closure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from math import comb
 
 from . import search
-from .clutter import Clutter, SizeGuardError, all_d_subsets, vertex_mask
+from .clutter import Clutter, all_d_subsets, vertex_mask
 from .erasures import (
     _exposure_moves,
     betti_from_erasures,
@@ -372,8 +373,8 @@ def probe_simon(n: int, d: int) -> dict:
     reachable by exposed-circuit removals should itself contain an exposed
     circuit (unless it has none at all), that is, no reached state is
     stuck.  Counterexamples are reported as observations, never asserted."""
-    total = comb(n, d)
     allowed = _exposure_moves(n, d, 0)
+    total = comb(n, d)
     reach = search.closure(total, allowed)
     full = (1 << total) - 1
     counterexamples = [
@@ -409,38 +410,45 @@ def probe_ridge_chordal(n: int, d: int) -> dict:
 
 
 def multiset_invariance_suite(n: int, d: int, jobs: int = 1) -> dict:
-    """All complete erasure orders for one target share the k-multiset.
+    """Every erasure order for one target gives it the same k-multiset.
 
-    Enumerates every removal order for every reachable target; exponential,
-    so meant for small n and d.
+    One closure of exposed-circuit removals, then one pass over its edges:
+    edge (S, e) gives state S + e the multiset of S plus k = n - |clique(e)|,
+    and every parent of a state must give it the same multiset.  A state's
+    subsets come before it in integer order, so its multiset is final when
+    the pass reads it.  A multiset is one int holding the count of k in bit
+    field k.  ``jobs`` is checked, not used: the pass runs in this process.
     """
-    jobs = _check_jobs(jobs)
-    total = len(all_d_subsets(n, d))
-    if total > 8:
-        raise SizeGuardError("size guard: full order enumeration needs at most 8 circuits")
-    report: dict = {"suite": "k-multiset-invariance", "n": n, "d": d, "targets": 0, "failures": []}
-    return _sweep(report, _multiset_row, [((n, d), range(1 << total))], jobs)
+    _check_jobs(jobs)
+    allowed = _exposure_moves(n, d, 0)
+    total = comb(n, d)
+    full = (1 << total) - 1
+    width = total.bit_length()
+    states = sorted(search.closure(total, allowed))
+    packed = {0: 0}
+    failures = {}
+    for state in states:
+        ok = allowed(state)
+        mine = packed.pop(state)
+        free = full ^ state
+        while free:
+            bit = free & -free
+            free ^= bit
+            clique = ok(bit.bit_length() - 1)
+            if clique:
+                theirs = mine + (1 << (n - clique.bit_count()) * width)
+                had = packed.setdefault(state | bit, theirs)
+                if had != theirs:
+                    failures.setdefault(full ^ state ^ bit, [had, theirs])
 
+    def k_list(multiset: int) -> list[int]:
+        return [k for k in range(n - d + 1) for _ in range(multiset >> k * width & (1 << width) - 1)]
 
-def _multiset_row(context, cmask: int):
-    n, d = context
-    target = Clutter.from_index_mask(n, d, cmask)
-    seen = set(_k_multisets(n, Clutter.complete(n, d), target, []))
-    if len(seen) > 1:
-        yield "failures", [[cmask, sorted(map(list, seen))]]
-    if seen:
-        yield "targets", 1
-
-
-def _k_multisets(n: int, clutter: Clutter, target: Clutter, prefix: list[int]):
-    """The sorted k-sequence of every complete erasure order from clutter down to target."""
-    done = True
-    for e in clutter.circuits:
-        if e in target:
-            continue
-        done = False
-        status = clutter.exposed_status(e)
-        if status.exposed:
-            yield from _k_multisets(n, clutter.without(e), target, prefix + [n - len(status.clique)])
-    if done:
-        yield tuple(sorted(prefix))
+    return {
+        "suite": "k-multiset-invariance",
+        "n": n,
+        "d": d,
+        "targets": len(states),
+        "failures": [[target, sorted(map(k_list, pair))] for target, pair in sorted(failures.items())],
+        "ok": not failures,
+    }

@@ -208,6 +208,7 @@ def test_size_guard_exit_code(capsys, tmp_path):
         ("suite", "exhaustive", "froberg", "--n", "9"),
         ("suite", "exhaustive", "chromatic", "--n", "8"),
         ("suite", "exhaustive", "boundary", "--n", "8"),
+        ("suite", "exhaustive", "multiset", "--n", "7", "--d", "3"),
     ],
 )
 def test_closure_size_guard_exit_code(capsys, argv):
@@ -301,3 +302,25 @@ def test_impossible_certificate_sizes_exit_code(capsys, tmp_path, n, d):
     path.write_text(json.dumps({"n": n, "d": d, "removed": []}))
     code, _, err = run(capsys, "erasures", "verify", str(path))
     assert code == 2 and "Traceback" not in err and "certificate" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("probe", "simon", "--n", "3", "--d", "5"),
+        ("probe", "ridge-chordal", "--n", "3", "--d", "5"),
+        ("suite", "exhaustive", "multiset", "--n", "3", "--d", "5"),
+    ],
+)
+def test_impossible_sizes_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "need 1 <= d <= n" in err and "Traceback" not in err
+
+
+def test_unsorted_circuit_is_invalid(capsys, tmp_path):
+    # replayed as 13, recorded as 31: the result would still list 13
+    path = tmp_path / "cert.json"
+    step = {"circuit": [3, 1], "clique": [1, 2, 3, 4], "k": 0, "proper": True}
+    path.write_text(json.dumps({"n": 4, "d": 2, "removed": [step]}))
+    code, out, _ = run(capsys, "erasures", "verify", str(path))
+    assert code == 1 and "step 1" in last_json(out)["error"]

@@ -68,6 +68,15 @@ def test_certificate_json_round_trip(tailed_triangle):
         ErasureCertificate.from_json_dict(data)
 
 
+def test_certificate_steps_must_equal_the_replay():
+    step = {"circuit": [1, 3], "clique": [1, 2, 3, 4], "k": 0, "proper": True}
+    cert = ErasureCertificate.from_json_dict({"n": 4, "d": 2, "removed": [step]})
+    assert (1, 3) not in cert.result
+    for field, value in [("circuit", [3, 1]), ("clique", [4, 3, 2, 1]), ("k", 1), ("proper", False)]:
+        with pytest.raises(ValueError, match="step 1"):
+            ErasureCertificate.from_json_dict({"n": 4, "d": 2, "removed": [{**step, field: value}]})
+
+
 def test_certificate_rejects_tampered_result(tailed_triangle):
     cert = find_erasure_sequence(tailed_triangle)
     data = cert.to_json_dict()

@@ -248,3 +248,27 @@ def test_chordality_criteria_agree_on_random_sample():
             assert classic == (gmask in chordal_by_n[n])
         elif classic:
             assert find_erasure_sequence(graph) is not None
+
+
+def test_boundary_components_match_networkx_bridges():
+    # every graph on n <= 5 vertices and a seeded sample on 7: a component
+    # is 2-edge-connected iff networkx finds no bridge in it
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    cases = [(n, g) for n in range(2, 6) for g in range(1 << n * (n - 1) // 2)]
+    cases += [(7, rng.getrandbits(21)) for _ in range(500)]
+    checked = bridged = 0
+    for n, gmask in cases:
+        try:
+            report = properly_exposed_subgraph(graph_from_edge_mask(n, gmask))
+        except RuntimeError:
+            pytest.fail(f"a chordal graph's boundary grew a bridge: n={n}, mask={gmask}")
+        boundary = nx.Graph(report.edges)
+        expected = {
+            tuple(sorted(comp)): not nx.has_bridges(boundary.subgraph(comp))
+            for comp in nx.connected_components(boundary)
+        }
+        assert dict(report.components) == expected
+        bridged += list(expected.values()).count(False)
+        checked += len(expected)
+    assert checked > 1000 and bridged > 10

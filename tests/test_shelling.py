@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -155,6 +156,38 @@ def test_extension_and_erasure_encodings_agree():
         assert search.stuck(len(facets), allowed, parents) == []
         result = is_extendably_shellable(skeleton)
         assert result.extendable
+
+
+def test_shelling_moves_match_the_definition():
+    # the colon-kernel move test against one that replays a shelling of the
+    # prefix, plus the new facet, through verify_shelling
+    from clutterkit.shelling import _shelling_moves
+
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        faces = list(itertools.combinations(range(1, n + 1), rng.randint(1, n - 1)))
+        chosen = rng.sample(faces, rng.randint(1, min(12, len(faces))))
+        complex_ = SimplicialComplex(n, tuple(sorted(chosen)))
+        facets, allowed = _shelling_moves(complex_)
+        orders = {0: []}  # a shelling of each reached prefix
+
+        def reference(state):
+            order = orders[state]
+
+            def ok(f):
+                grown = order + [facets[f]]
+                if not verify_shelling(SimplicialComplex(n, tuple(sorted(grown))), grown).valid:
+                    return False
+                orders.setdefault(state | 1 << f, grown)
+                return True
+
+            return ok
+
+        last = search.closure(len(facets), allowed)
+        assert list(search.closure(len(facets), reference).items()) == list(last.items())
+        states = sorted(last)
+        assert search.stuck(len(facets), allowed, states) == search.stuck(len(facets), reference, states)
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (6, 5)])

@@ -123,11 +123,47 @@ def test_probe_reports_are_observations():
     assert ridge["counterexamples"] == []
 
 
-def test_multiset_invariance_suite():
+def test_multiset_invariance_suite(monkeypatch):
     report = suites.multiset_invariance_suite(4, 2)
     assert report["ok"] and report["targets"] == 61
-    with pytest.raises(ValueError, match="size guard"):
-        suites.multiset_invariance_suite(5, 2)
+    for n, d, targets in [(5, 3, 969), (6, 2, 18_154)]:
+        report = suites.multiset_invariance_suite(n, d)
+        assert report["ok"] and report["targets"] == targets
+
+    # (7, 3) has 35 moves: the closure guard refuses before any state is expanded
+    def unexpanded(*args):
+        def allowed(state):
+            raise AssertionError("a state was expanded before the size guard")
+
+        return allowed
+
+    monkeypatch.setattr(suites, "_exposure_moves", unexpanded)
+    with pytest.raises(SizeGuardError, match="size guard"):
+        suites.multiset_invariance_suite(7, 3)
+
+
+def test_multiset_failure_names_its_target_once(monkeypatch):
+    # In K4, removing 13 and then 12 exposes 12 in the clique 124 (k = 1).
+    # Reported as the clique 12 (k = 2), that edge disagrees with the one
+    # that removes 12 first, and with nothing else: the first parent's
+    # multiset is the one passed on.
+    moves = suites._exposure_moves
+
+    def skewed(*args):
+        allowed = moves(*args)
+
+        def wrapped(state):
+            ok = allowed(state)
+            if state != 0b10:
+                return ok
+            return lambda i: ok(i) & ~0b1000 if i == 0 else ok(i)
+
+        return wrapped
+
+    monkeypatch.setattr(suites, "_exposure_moves", skewed)
+    report = suites.multiset_invariance_suite(4, 2)
+    assert not report["ok"] and report["targets"] == 61
+    assert report["failures"] == [[0b111111 ^ 0b11, [[0, 1], [0, 2]]]]
 
 
 # SHA-256 of each report's canonical JSON (sorted keys, no spaces), recorded
