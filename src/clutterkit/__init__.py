@@ -21,10 +21,8 @@ from .ideals import (
     verify_quotient_order,
 )
 from .erasures import (
-    BettiContribution,
     ErasureCertificate,
     RemovalStep,
-    betti_contribution,
     betti_from_erasures,
     erasure_reachable_set,
     find_erasure_sequence,

@@ -46,7 +46,9 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_d_subsets(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All d-subsets of {1..n} in lexicographic order."""
+    """All d-subsets of {1..n} in lexicographic order (d = 0 gives the empty set)."""
+    if not 0 <= d <= n:
+        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     if comb(n, d) > MAX_D_SUBSETS:
         raise SizeGuardError(
             f"size guard: at most {MAX_D_SUBSETS} d-subsets supported, got C({n}, {d}) = {comb(n, d)}"
@@ -226,11 +228,6 @@ class Clutter:
         if e not in self:
             raise ValueError(f"{e} is not a circuit")
         return Clutter(self.n, self.d, tuple(c for c in self.circuits if c != e))
-
-    def induced(self, vertices) -> "Clutter":
-        """Subclutter of circuits contained in the given vertex set."""
-        vs = set(vertices)
-        return Clutter(self.n, self.d, tuple(e for e in self.circuits if set(e) <= vs))
 
     # -- cliques ----------------------------------------------------------
 

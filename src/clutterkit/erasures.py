@@ -56,10 +56,6 @@ class ErasureCertificate:
     def k_sequence(self) -> tuple[int, ...]:
         return tuple(s.k for s in self.removed)
 
-    @property
-    def all_proper(self) -> bool:
-        return all(s.proper for s in self.removed)
-
     def validate(self) -> None:
         """Replay the recorded circuits; every recorded step must equal the replayed one."""
         replayed = replay_erasure_sequence(self.n, self.d, [s.circuit for s in self.removed])
@@ -240,7 +236,8 @@ def erasure_reachable_set(n: int, d: int, require_proper: bool = False) -> set[i
     Removals only shrink the clutter, so a clutter is reachable iff its
     removed-set appears here.
     """
-    return set(iter(search.closure(comb(n, d), _exposure_moves(n, d, 0, require_proper))))
+    moves = _exposure_moves(n, d, 0, require_proper)
+    return set(iter(search.closure(comb(n, d), moves)))
 
 
 def _exposure_moves(n: int, d: int, start: int, require_proper: bool = False):
@@ -276,28 +273,6 @@ def betti_from_erasures(cert: ErasureCertificate) -> list[int]:
     if not ks:
         return []
     return [sum(comb(k, i) for k in ks) for i in range(max(ks) + 1)]
-
-
-@dataclass(frozen=True)
-class BettiContribution:
-    """Homological degrees a new generator touches: always {0..k}."""
-
-    indices: tuple[int, ...]
-    small: bool
-
-
-def betti_contribution(clutter: Clutter, circuit) -> BettiContribution:
-    """Betti contribution of removing an exposed circuit (adding its monomial).
-
-    The colon ideal is generated by the n - |K| variables off the unique
-    maximal clique K, so degrees 0..n-|K| change; the contribution is small
-    exactly when the circuit is properly exposed.
-    """
-    status = clutter.exposed_status(circuit)
-    if not status.exposed:
-        raise ValueError(f"{tuple(circuit)} is not exposed")
-    k = clutter.n - len(status.clique)
-    return BettiContribution(tuple(range(k + 1)), k < clutter.n - clutter.d)
 
 
 # -- h-vector identity ---------------------------------------------------------

@@ -2,7 +2,8 @@
 minimum spanning trees by erasures, and the properly-exposed subgraph.
 
 Graphs are 2-clutters.  Edge exposure runs on the clutter link table
-(``clutter.exposed_clique``), whose d = 2 case is the adjacency list.
+(``clutter.exposed_clique``), whose d = 2 case is the adjacency list, and
+every loop here tests proper exposure with ``erasures._erasable``.
 Adjacency bitmask lists (``adj[v-1]`` has bit ``w-1`` set for each
 neighbor w) remain for elimination orders, connectivity and
 deletion-contraction.
@@ -18,14 +19,13 @@ from . import search
 from .clutter import (
     Clutter,
     SizeGuardError,
-    all_d_subsets,
-    exposed_clique,
+    d_subset_masks,
     link_table,
     mask_vertices,
     toggle_circuit,
     vertex_mask,
 )
-from .erasures import _exposure_moves
+from .erasures import _erasable, _exposure_moves
 
 CHORDAL_CLASSIC_MAX_N = 12
 DELETION_CONTRACTION_MAX_N = 10
@@ -177,9 +177,6 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_coeffs(_poly_mul(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial.from_coeffs(_poly_sub(self.coeffs, other.coeffs))
 
     def __call__(self, t: int) -> int:
         out = 0
@@ -356,9 +353,6 @@ class WeightedGraph:
         graph = Clutter.from_circuits(n, 2, pairs)
         return cls(graph, tuple(pairs[e] for e in graph.circuits))
 
-    def weight_of(self, edge) -> Fraction:
-        return self.weights[self.graph.circuits.index(tuple(sorted(edge)))]
-
 
 def kruskal_mst(weighted: WeightedGraph) -> tuple[frozenset, Fraction]:
     """Sorted-edge union-find oracle; raises on disconnected input."""
@@ -400,17 +394,18 @@ def mst_by_erasures(weighted: WeightedGraph) -> tuple[frozenset, Fraction]:
     link = link_table(n, 2, graph.circuit_index_mask)
     weights = dict(zip(graph.circuits, weighted.weights))
     # heaviest first; the sort is stable, so equal weights stay in lex order
-    heaviest_first = sorted(graph.circuits, key=weights.__getitem__, reverse=True)
-    edges = [(e, vertex_mask(e)) for e in heaviest_first]
+    edges = sorted(graph.circuits, key=weights.__getitem__, reverse=True)
+    masks = [vertex_mask(e) for e in edges]
+    proper = _erasable(link, masks, True)
     while len(edges) > n - 1:
-        for k, (e, emask) in enumerate(edges):
-            if exposed_clique(link, emask) not in (None, emask):
+        for k in range(len(edges)):
+            if proper(k):
                 break
         else:
             raise RuntimeError("no properly exposed edge available; input was not chordal")
         del edges[k]
-        toggle_circuit(link, emask)
-    tree = frozenset(e for e, _ in edges)
+        toggle_circuit(link, masks.pop(k))
+    tree = frozenset(edges)
     return tree, sum((weights[e] for e in tree), Fraction(0))
 
 
@@ -434,11 +429,8 @@ def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
     """
     _require_graph(graph)
     link = link_table(graph.n, 2, graph.circuit_index_mask)
-    boundary = []
-    for e in graph.circuits:
-        emask = vertex_mask(e)
-        if exposed_clique(link, emask) not in (None, emask):
-            boundary.append(e)
+    proper = _erasable(link, [vertex_mask(e) for e in graph.circuits], True)
+    boundary = [e for i, e in enumerate(graph.circuits) if proper(i)]
     adj = [0] * graph.n
     for u, v in boundary:
         adj[u - 1] |= 1 << (v - 1)
@@ -479,11 +471,15 @@ def random_connected_chordal(n: int, rng: random.Random, target_edges: int | Non
     """Random connected chordal graph via random proper erasures from K_n."""
     if target_edges is None:
         target_edges = rng.randint(n - 1, n * (n - 1) // 2)
-    link = link_table(n, 2, (1 << n * (n - 1) // 2) - 1)
-    edges = {e: vertex_mask(e) for e in all_d_subsets(n, 2)}  # lex order, kept on removal
-    while len(edges) > target_edges:
-        candidates = [e for e, em in edges.items() if exposed_clique(link, em) not in (None, em)]
+    masks = d_subset_masks(n, 2)
+    state = (1 << len(masks)) - 1  # the lex indices of the edges left
+    link = link_table(n, 2, state)
+    proper = _erasable(link, masks, True)
+    while state.bit_count() > target_edges:
+        candidates = [i - 1 for i in mask_vertices(state) if proper(i - 1)]  # lex order
         if not candidates:
             break
-        toggle_circuit(link, edges.pop(rng.choice(candidates)))
-    return Clutter(n, 2, tuple(sorted(edges)))
+        i = rng.choice(candidates)
+        state ^= 1 << i
+        toggle_circuit(link, masks[i])
+    return Clutter.from_index_mask(n, 2, state)

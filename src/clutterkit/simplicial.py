@@ -73,17 +73,6 @@ class SimplicialComplex:
                 by_size[r].update(itertools.combinations(f, r))
         return [sorted(s) for s in by_size]
 
-    def faces(self) -> list[tuple[int, ...]]:
-        """Every face including the empty one, smallest first."""
-        return [f for level in self._faces_by_size for f in level]
-
-    def k_faces(self, k: int) -> list[tuple[int, ...]]:
-        """Faces of dimension k (k = -1 gives the empty face)."""
-        levels = self._faces_by_size
-        if k + 1 < 0 or k + 1 >= len(levels):
-            return []
-        return list(levels[k + 1])
-
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_dim); the void complex has f-vector (0,)."""
@@ -108,14 +97,6 @@ class SimplicialComplex:
         if self.is_void:
             return 0
         return sum((-1) ** (r + 1) * count for r, count in enumerate(self.f_vector))
-
-    def induced(self, vertices) -> "SimplicialComplex":
-        """Subcomplex of faces supported inside the given vertex set."""
-        vs = set(vertices)
-        if self.is_void:
-            return self
-        faces = [tuple(v for v in f if v in vs) for f in self.facets]
-        return SimplicialComplex.from_faces(self.n, faces)
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """Subsets that are not faces but all of whose proper subsets are."""

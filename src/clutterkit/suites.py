@@ -26,9 +26,8 @@ from .erasures import (
     is_ridge_chordal,
 )
 from .graphs import (
-    adjacency_masks,
+    chromatic_polynomial_dc,
     chromatic_polynomial_product,
-    _chromatic_dc,
     enumerate_chordal_graphs,
     graph_connected,
     graph_from_edge_mask,
@@ -192,6 +191,7 @@ def connectivity_suite(max_n: int, jobs: int = 1) -> dict:
     (A single vertex admits no 2-clutter, so n = 1 has nothing to check.)
     """
     jobs = _check_jobs(jobs)
+    search.check_moves(max_n * (max_n - 1) // 2)
     report: dict = {"suite": "connectivity", "max_n": max_n, "checked": 0, "discrepancies": []}
     tasks = [(n, range(1 << (n * (n - 1) // 2))) for n in range(2, max_n + 1)]
     return _sweep(report, _connectivity_row, tasks, jobs)
@@ -256,6 +256,7 @@ def free_face_suite(n: int, d: int, jobs: int = 1) -> dict:
     """
     jobs = _check_jobs(jobs)
     total = len(all_d_subsets(n, d))
+    search.check_moves(total)
     report: dict = {
         "suite": "free-face",
         "n": n,
@@ -294,7 +295,7 @@ def _chromatic_row(context, gmask: int):
     graph = graph_from_edge_mask(n, gmask)
     yield "checked", 1
     product = chromatic_polynomial_product(graph)
-    if product.coeffs != _chromatic_dc(tuple(adjacency_masks(graph)), memo):
+    if product != chromatic_polynomial_dc(graph, memo):
         yield "mismatches", [[n, gmask]]
 
 

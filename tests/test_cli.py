@@ -209,6 +209,8 @@ def test_size_guard_exit_code(capsys, tmp_path):
         ("suite", "exhaustive", "chromatic", "--n", "8"),
         ("suite", "exhaustive", "boundary", "--n", "8"),
         ("suite", "exhaustive", "multiset", "--n", "7", "--d", "3"),
+        ("suite", "exhaustive", "connectivity", "--n", "8"),
+        ("suite", "exhaustive", "free-face", "--n", "7", "--d", "3"),
     ],
 )
 def test_closure_size_guard_exit_code(capsys, argv):
@@ -310,6 +312,9 @@ def test_impossible_certificate_sizes_exit_code(capsys, tmp_path, n, d):
         ("probe", "simon", "--n", "3", "--d", "5"),
         ("probe", "ridge-chordal", "--n", "3", "--d", "5"),
         ("suite", "exhaustive", "multiset", "--n", "3", "--d", "5"),
+        ("probe", "ridge-chordal", "--n", "3", "--d", "-1"),
+        ("suite", "exhaustive", "free-face", "--n", "3", "--d", "-1"),
+        ("suite", "exhaustive", "clutter-erasure", "--n", "3", "--d", "-1"),
     ],
 )
 def test_impossible_sizes_exit_code(capsys, argv):

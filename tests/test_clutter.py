@@ -133,11 +133,6 @@ def test_degree_one_clutters():
     assert empty.clique_complex().facets == ((),)
 
 
-def test_induced_subclutter(bipyramid):
-    sub = bipyramid.induced((2, 3, 4, 5))
-    assert sub.circuits == ((2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
-
-
 def _kernel_status(link, emask):
     clique = exposed_clique(link, emask)
     if clique is None:

@@ -7,7 +7,6 @@ from clutterkit import erasures, search
 from clutterkit.clutter import Clutter, all_d_subsets, d_subset_masks, link_table, mask_vertices, toggle_circuit
 from clutterkit.erasures import (
     ErasureCertificate,
-    betti_contribution,
     betti_from_erasures,
     erasure_reachable_set,
     find_erasure_sequence,
@@ -23,7 +22,7 @@ def test_find_erasure_sequence_tailed_triangle(tailed_triangle):
     assert cert is not None
     assert [s.circuit for s in cert.removed] == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4)]
     assert cert.k_sequence == (0, 1, 2, 1, 2)
-    assert cert.all_proper
+    assert all(s.proper for s in cert.removed)
     assert cert.result == tailed_triangle
 
 
@@ -91,23 +90,6 @@ def test_betti_from_erasures_values():
     g5cert = replay_erasure_sequence(5, 2, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4)])
     assert sorted(g5cert.k_sequence) == [0, 1, 1, 2, 2]
     assert betti_from_erasures(g5cert) == [5, 6, 2]
-
-
-def test_betti_contribution_cases():
-    # mid-sequence removal with a 3-clique on 5 vertices: small contribution
-    partial = replay_erasure_sequence(5, 2, [(1, 3), (1, 4), (1, 5), (2, 3)]).result
-    contrib = betti_contribution(partial, (2, 4))
-    assert contrib.indices == (0, 1, 2) and contrib.small
-
-    partial3 = Clutter.complete(5, 3).without((1, 2, 5)).without((1, 3, 5))
-    contrib = betti_contribution(partial3, (1, 4, 5))
-    assert contrib.indices == (0, 1, 2) and not contrib.small
-
-    contrib = betti_contribution(Clutter.complete(5, 3), (1, 2, 3))
-    assert contrib.indices == (0,) and contrib.small
-
-    with pytest.raises(ValueError):
-        betti_contribution(partial3.without((1, 4, 5)), (2, 3, 4))
 
 
 def test_h_vector_check_cases(tailed_triangle):
@@ -307,6 +289,3 @@ def test_exposure_is_linear_division_pointwise():
                         v for v in range(1, n + 1) if v not in status.clique
                     )
                     assert res.variables == off_clique
-                    contrib = betti_contribution(clutter, e)
-                    assert contrib.small == status.proper
-                    assert contrib.indices == tuple(range(len(off_clique) + 1))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -272,3 +274,32 @@ def test_boundary_components_match_networkx_bridges():
         bridged += list(expected.values()).count(False)
         checked += len(expected)
     assert checked > 1000 and bridged > 10
+
+
+def test_graph_erasure_outputs_are_pinned():
+    # The boundary of every graph on n <= 5, erasure spanning trees on a
+    # seeded sample of connected 7-vertex chordal graphs with distinct
+    # weights, and random_connected_chordal for seeds 0-199, as the graph
+    # loops returned them when each wrote its own proper-exposure test.
+    rows = []
+    for n in range(2, 6):
+        for gmask in range(1 << n * (n - 1) // 2):
+            report = properly_exposed_subgraph(graph_from_edge_mask(n, gmask))
+            rows.append([n, gmask, report.edges, report.components, report.input_chordal])
+    rng = random.Random(18)
+    trees = 0
+    while trees < 200:
+        graph = graph_from_edge_mask(7, rng.getrandbits(21))
+        if not graph_connected(graph) or perfect_elimination_ordering(graph) is None:
+            continue
+        weights = rng.sample(range(1, 1000), len(graph.circuits))
+        weighted = WeightedGraph.from_edges(
+            7, [(u, v, w) for (u, v), w in zip(graph.circuits, weights)]
+        )
+        tree, weight = mst_by_erasures(weighted)
+        rows.append([graph.circuits, weights, sorted(tree), str(weight)])
+        trees += 1
+    for seed in range(200):
+        rows.append(random_connected_chordal(3 + seed % 6, random.Random(seed)).circuits)
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "de56381faa1c1876b1d82bf9ed170358ad5151d7f50e7047bfef57a66871e9aa"

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def referenced_names(node) -> list[str]:
+    """Every name, attribute and imported name under ``node``."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.append(sub.name)
+    return names
+
+
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     """Private top-level functions and classes that no module in ``sources`` refers to.
 
@@ -58,17 +72,7 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
                 own = node.name
                 if own.startswith("_"):
                     defined[own] = module
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    name = sub.attr
-                elif isinstance(sub, ast.alias):
-                    name = sub.name
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
+            referenced.update(name for name in referenced_names(node) if name != own)
     return [f"{module}: {name}" for name, module in sorted(defined.items()) if name not in referenced]
 
 
@@ -84,3 +88,62 @@ def test_every_private_definition_is_referenced():
     package = ROOT / "src" / "clutterkit"
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def uncalled_public_definitions(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes in ``sources``, and the public
+    methods of those classes, that nothing refers to.
+
+    A reference is a name, an attribute or an imported name in ``sources``
+    outside the definition's own body, or anywhere in ``callers``.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    inside = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    outside = {name for source in callers.values() for name in referenced_names(ast.parse(source))}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            methods = [sub for sub in node.body if isinstance(sub, defs) and not sub.name.startswith("_")]
+            for label, definition in [(node.name, node)] + [(f"{node.name}.{m.name}", m) for m in methods]:
+                own = Counter(referenced_names(definition))
+                if definition.name not in outside and inside[definition.name] == own[definition.name]:
+                    uncalled.append(f"{module}: {label}")
+    return uncalled
+
+
+def test_the_scan_sees_an_uncalled_public_definition():
+    sources = {
+        "a.py": "def used(): ...\ndef left(): return left()\nclass Kept:\n"
+        "    def go(self): ...\n    def stay(self): return self.stay()\n    def _own(self): ...\n",
+        "b.py": "from a import used\nx = used().go\n",
+    }
+    assert uncalled_public_definitions(sources, {"bench.py": "import a\na.Kept()\n"}) == [
+        "a.py: left",
+        "a.py: Kept.stay",
+    ]
+
+
+# Public definitions that only the tests call, each kept for the check it serves.
+KEPT_FOR_TESTS = {
+    "Clutter.empty": "the empty clutter of the edge-case tests",
+    "Clutter.maximal_cliques_containing": "the exposure oracle: exposed iff one maximal clique",
+    "Clutter.clique_complex": "the clique complex that the clutter, homology and acceptance tests read",
+    "SimplicialComplex.from_faces": "builds complexes from any face list in the f- and h-vector tests",
+    "SimplicialComplex.reduced_euler_characteristic": "the Euler check on reduced homology",
+    "SquarefreeIdeal.zero": "the zero-ideal edge case of the colon and quotient-order tests",
+    "QuotientOrderReport.ell_sequence": "a quotient order's colon counts, against the shelling's",
+    "write_weighted_graph": "the weighted-graph format round trip",
+    "shelling_to_erasures": "the inverse of erasures_to_shelling in the shelling round trip",
+    "check_contractible_extendable": "a probe that the shelling tests run; the CLI exposes only Simon's",
+}
+
+
+def test_every_public_definition_has_a_caller():
+    package = ROOT / "src" / "clutterkit"
+    sources = {path.name: path.read_text() for path in SOURCES if path.parent == package}
+    callers = {path.name: path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    kept = {label.split(": ")[1] for label in uncalled_public_definitions(sources, callers)}
+    assert kept == set(KEPT_FOR_TESTS)

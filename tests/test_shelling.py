@@ -239,9 +239,9 @@ def test_extendability_rejects_unshellable_input():
         is_extendably_shellable(skeleton_complex(8, 5))
 
 
-def test_extendability_size_guard_fires_before_the_intersection_table():
-    # 286 facets: the facet-by-facet intersection table alone would take
-    # tens of megabytes, so a guard that fires after building it shows here
+def test_extendability_size_guard_fires_before_any_work():
+    # 286 facets: any per-facet table or closure state built before the
+    # guard would show in the traced peak
     import tracemalloc
 
     big = skeleton_complex(13, 2)

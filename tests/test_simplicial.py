@@ -33,21 +33,12 @@ def test_face_enumeration_and_f_vector():
     complex_ = SimplicialComplex.from_faces(5, [(3, 4), (2, 4), (2, 3)])
     assert complex_.f_vector == (1, 3, 3)
     assert complex_.h_vector == (1, 1, 1)
-    assert complex_.k_faces(0) == [(2,), (3,), (4,)]
-    assert complex_.k_faces(-1) == [()]
 
 
 def test_h_vector_of_simplex_boundary():
     boundary = SimplicialComplex(4, tuple(itertools.combinations(range(1, 5), 3)))
     assert boundary.h_vector == (1, 1, 1, 1)
     assert boundary.reduced_euler_characteristic() == -1 + 4 - 6 + 4
-
-
-def test_induced_subcomplex():
-    complex_ = SimplicialComplex.from_faces(5, [(1, 2, 3), (3, 4), (4, 5)])
-    sub = complex_.induced((1, 2, 4))
-    assert sub.facets == ((4,), (1, 2))
-    assert complex_.induced(()).facets == ((),)
 
 
 def test_alexander_dual_examples():

@@ -223,6 +223,16 @@ def test_chordal_sweeps_check_the_closure_guard_before_any_work(monkeypatch, nam
         getattr(suites, name)(8)
 
 
+@pytest.mark.parametrize("name, args", [("connectivity_suite", (8,)), ("free_face_suite", (7, 3))])
+def test_labeled_sweeps_check_the_closure_guard_before_the_sweep(monkeypatch, name, args):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite started its sweep before its size guard")
+
+    monkeypatch.setattr(suites, "_sweep", no_work)
+    with pytest.raises(SizeGuardError, match="size guard"):
+        getattr(suites, name)(*args)
+
+
 def test_boundary_witness_reaches_the_report(monkeypatch):
     bridged = 0b111011  # K4 minus the edge 1-4, a chordal graph
     original = suites.properly_exposed_subgraph
