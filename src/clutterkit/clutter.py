@@ -6,8 +6,11 @@ as a sorted tuple.  Internally circuits double as bitmasks (bit v-1 for
 vertex v), which caps the supported vertex count at 64.
 
 The searches test exposure on a mutable *link table* (``link_table``,
-``toggle_circuit``, ``exposed_clique``); ``Clutter.exposed_status`` is the
-independent reference that certificate replay uses.
+``toggle_circuit``, ``exposed_clique``).  ``exposed_clique`` is Q
+(``extensions``) followed by the clique test on e+Q (``clique_closure``); the
+erasure search caches Q per candidate and calls ``clique_closure`` alone.
+``Clutter.exposed_status`` is the independent reference that certificate
+replay uses.
 """
 
 from __future__ import annotations
@@ -106,22 +109,34 @@ def extensions(link: dict[int, int], emask: int) -> int:
     return q
 
 
+@lru_cache(maxsize=1 << 12)  # every (mask, k) up to 8 vertices
+def _subsets(mask: int, k: int) -> tuple[int, ...]:
+    """The masks of the k-subsets of ``mask``."""
+    return tuple(map(vertex_mask, itertools.combinations(mask_vertices(mask), k)))
+
+
+def clique_closure(link: dict[int, int], emask: int, q: int) -> int | None:
+    """e+Q when it is a clique, else None, for circuit ``emask`` with Q = ``q``.
+
+    Every d-subset of e+Q other than e is r+v for a (d-1)-subset r of e+Q
+    not inside e and some v in Q - r, so e+Q is a clique iff Q - r lies in
+    ``link[r]`` for each such r.  Only the (d-1)-subsets of e+Q are visited.
+    """
+    closure = emask | q
+    if q & (q - 1):  # with one extension vertex v, e+v is a clique by Q's definition
+        for r in _subsets(closure, emask.bit_count() - 1):
+            if r & q and q & ~r & ~link[r]:
+                return None
+    return closure
+
+
 def exposed_clique(link: dict[int, int], emask: int) -> int | None:
     """The mask of the unique maximal clique through circuit ``emask``, or None.
 
     With Q = ``extensions(link, emask)``, e is exposed iff e+Q is a clique,
-    and then e+Q is that clique.  Every d-subset of e+Q other than e is r+v
-    for a (d-1)-subset r of e+Q not inside e and some v in Q - r, so e+Q is
-    a clique iff Q - r lies in ``link[r]`` for each such r; the scan over
-    the table's keys finds those r.
+    and then e+Q is that clique (``clique_closure``).
     """
-    q = extensions(link, emask)
-    closure = emask | q
-    if q & (q - 1):  # with one extension vertex v, e+v is a clique by Q's definition
-        for r, rlink in link.items():
-            if r & q and not r & ~closure and q & ~r & ~rlink:
-                return None
-    return closure
+    return clique_closure(link, emask, extensions(link, emask))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from . import search
@@ -18,10 +19,10 @@ from .clutter import (
     Clutter,
     _check_size,
     all_d_subsets,
+    clique_closure,
     d_subset_index,
     d_subset_masks,
     exposed_clique,
-    extensions,
     link_table,
     mask_vertices,
     toggle_circuit,
@@ -166,21 +167,19 @@ def _erasable(link: dict[int, int], masks, require_proper: bool):
     return ok
 
 
-def _starves(link: dict[int, int], emask: int, kept) -> bool:
-    """Whether removing circuit ``emask`` leaves a circuit not in ``kept`` with Q empty."""
-    m = emask
-    while m:
-        x = m & -m
-        m ^= x
-        s = emask ^ x
-        others = link[s] ^ x
-        while others:
-            v = others & -others
-            others ^= v
-            f = s | v
-            if f not in kept and extensions(link, f) == x:
-                return True
-    return False
+@lru_cache(maxsize=None)
+def _complete_tables(n: int, d: int):
+    """The complete d-clutter's link table, each lex circuit's ridges (the
+    table's own key objects) and each ridge's circuits (lex indices)."""
+    link = link_table(n, d, (1 << comb(n, d)) - 1)
+    key = {s: s for s in link}
+    masks = d_subset_masks(n, d)
+    ridges = tuple(tuple(key[e ^ 1 << v - 1] for v in mask_vertices(e)) for e in masks)
+    circuits = {s: [] for s in link}
+    for j, rs in enumerate(ridges):
+        for s in rs:
+            circuits[s].append(j)
+    return link, ridges, {s: tuple(js) for s, js in circuits.items()}
 
 
 def find_erasure_sequence(
@@ -193,36 +192,79 @@ def find_erasure_sequence(
     backtracking over removal sets (``search.find``).  Returns None when
     no sequence exists.
 
+    Q(f) is kept for every circuit f still to be removed, in the style of
+    dancing links (Knuth 2000).  Removing e = s+x (s a (d-1)-subset of e, x
+    a vertex) drops x from Q(f) for exactly the circuits f = s+v whose Q(f)
+    holds x, and changes no other Q, so a move clears x there and saves
+    the old values, and its undo restores them.  The move test is
+    ``clique_closure`` on the kept Q.  The tables this walks (each
+    circuit's ridges, each ridge's circuits) depend only on (n, d) and are
+    cached (``_complete_tables``).
+
     With ``require_proper`` the backtracking search also refuses a removal
     that leaves a circuit still to be removed with Q empty (the child is
-    *starved*).  Removing e = s+x (s a (d-1)-subset of e, x a vertex)
-    drops x from Q(f) = ``extensions(link, f)`` for exactly the circuits
-    f = s+v, v in link(s) - x, and changes no other Q.  Q only shrinks as
-    circuits go, so a circuit f still to be removed with Q(f) = {x} before
-    the move is never properly exposed after it: a starved child is dead,
-    and refusing it leaves the order returned the same.  ``greedy_only``
-    keeps its meaning, the first properly exposed circuit, so it does not
-    refuse.
+    *starved*).  It reads the kept Q: the child is starved iff some f on a
+    ridge s of e has Q(f) = {x}, x = e - s, before the move.  Q only
+    shrinks as circuits go, so such an f is never properly exposed after
+    it: a starved child is dead, and refusing it leaves the order returned
+    the same.  ``greedy_only`` keeps its meaning, the first properly
+    exposed circuit, so it does not refuse.
     """
     n, d = target.n, target.d
     masks = d_subset_masks(n, d)
     full = (1 << len(masks)) - 1
     gone = full ^ target.circuit_index_mask
     rem = [i for i in range(len(masks)) if gone >> i & 1]
-    rem_masks = [masks[i] for i in rem]
-    link = link_table(n, d, full)
+    complete, ridges, on_ridge = _complete_tables(n, d)
+    link = dict(complete)
+    vertices = (1 << n) - 1
+    q = [0] * len(masks)  # Q(f) for each circuit f still to be removed, else 0
+    for j in rem:
+        q[j] = vertices ^ masks[j]
+    undo = []  # (circuit, its Q before a move), newest last
+    marks = [0] * len(rem)  # len(undo) before each move made
 
-    def toggle(i: int) -> None:
-        toggle_circuit(link, rem_masks[i])
+    def push(i: int) -> None:
+        j = rem[i]
+        e = masks[j]
+        marks[i] = len(undo)
+        undo.append((j, q[j]))
+        q[j] = 0
+        for s in ridges[j]:
+            x = e ^ s
+            link[s] ^= x
+            for f in on_ridge[s]:
+                if q[f] & x:
+                    undo.append((f, q[f]))
+                    q[f] ^= x
 
-    ok = _erasable(link, rem_masks, require_proper)
-    if require_proper and not greedy_only:
-        proper, kept = ok, target.circuit_masks
+    def pop(i: int) -> None:
+        j = rem[i]
+        e = masks[j]
+        for s in ridges[j]:
+            link[s] ^= e ^ s
+        mark = marks[i]
+        for f, old in undo[mark:]:
+            q[f] = old
+        del undo[mark:]
 
-        def ok(i: int) -> bool:
-            return proper(i) and not _starves(link, rem_masks[i], kept)
+    starve = require_proper and not greedy_only
 
-    chosen = search.find(len(rem), ok, toggle, toggle, greedy_only)
+    def ok(i: int) -> bool:
+        j = rem[i]
+        e = masks[j]
+        clique = clique_closure(link, e, q[j])
+        if clique is None or require_proper and clique == e:
+            return False
+        if starve:
+            for s in ridges[j]:
+                x = e ^ s
+                for f in on_ridge[s]:
+                    if q[f] == x:
+                        return False
+        return True
+
+    chosen = search.find(len(rem), ok, push, pop, greedy_only)
     if chosen is None:
         return None
     subsets = all_d_subsets(n, d)

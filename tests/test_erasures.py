@@ -214,8 +214,9 @@ def test_ridge_chordal_and_erasure_verdicts_ignore_vertex_labels():
     check()
 
 
-def unpruned_proper_order(target):
-    """The proper removal order found by ``search.find`` on the plain move test."""
+def reference_order(target, require_proper=False, greedy_only=False):
+    """The removal order found by ``search.find`` with ``_erasable`` on a plain
+    link table: no starvation pruning, and Q recomputed at every move test."""
     n, d = target.n, target.d
     full = (1 << comb(n, d)) - 1
     gone = full ^ target.circuit_index_mask
@@ -225,25 +226,30 @@ def unpruned_proper_order(target):
     def toggle(i):
         toggle_circuit(link, rem[i])
 
-    chosen = search.find(len(rem), erasures._erasable(link, rem, True), toggle, toggle)
+    ok = erasures._erasable(link, rem, require_proper)
+    chosen = search.find(len(rem), ok, toggle, toggle, greedy_only)
     return None if chosen is None else [mask_vertices(rem[i]) for i in chosen]
 
 
-def proper_order(target):
-    cert = find_erasure_sequence(target, True)
+def search_order(target, require_proper=False, greedy_only=False):
+    cert = find_erasure_sequence(target, require_proper, greedy_only)
     return None if cert is None else [s.circuit for s in cert.removed]
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_starvation_pruning_keeps_every_proper_order_at_5_vertices(d):
+MODES = [(False, False), (True, False), (True, True)]  # plain, proper, greedy proper
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_orders_match_the_reference_search_at_5_vertices(d):
     for mask in range(1 << comb(5, d)):
         target = Clutter.from_index_mask(5, d, mask)
-        assert proper_order(target) == unpruned_proper_order(target)
+        for mode in MODES:
+            assert search_order(target, *mode) == reference_order(target, *mode)
 
 
-def test_starvation_pruning_keeps_the_proper_order():
-    # At most 12 removals: the unpruned reference walks every dead state,
-    # and at (7, 3) with 18 removals one target takes it about a second.
+def test_orders_match_the_reference_search():
+    # At most 12 removals: the reference walks every dead state, and at
+    # (7, 3) with 18 removals one target takes it about a second.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -256,7 +262,8 @@ def test_starvation_pruning_keeps_the_proper_order():
         (n, d), removed = case
         mask = (1 << comb(n, d)) - 1 - sum(1 << i for i in removed)
         target = Clutter.from_index_mask(n, d, mask)
-        assert proper_order(target) == unpruned_proper_order(target)
+        for mode in MODES:
+            assert search_order(target, *mode) == reference_order(target, *mode)
 
     check()
 

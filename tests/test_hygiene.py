@@ -1,7 +1,6 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,26 +91,52 @@ def test_every_private_definition_is_referenced():
 
 def uncalled_public_definitions(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
     """Public top-level functions and classes in ``sources``, and the public
-    methods of those classes, that nothing refers to.
+    methods of those classes, that nothing live refers to.
 
-    A reference is a name, an attribute or an imported name in ``sources``
-    outside the definition's own body, or anywhere in ``callers``.
+    Module code outside every definition, and all of ``callers``, is live.
+    A definition becomes live when live code refers to it: a top-level one
+    by a name, an attribute or an imported name, a method only by an
+    attribute (``.name``), and only once its class is live.  A live
+    definition's own body is then live, apart from its public methods, and
+    this repeats until nothing changes.  So a definition that only dead code
+    refers to is dead too.
     """
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    inside = Counter(name for tree in trees.values() for name in referenced_names(tree))
-    outside = {name for source in callers.values() for name in referenced_names(ast.parse(source))}
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    uncalled = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, defs) or node.name.startswith("_"):
+    names, attributes = set(), set()
+
+    def run(nodes) -> None:
+        for node in nodes:
+            names.update(referenced_names(node))
+            attributes.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+    run(ast.parse(source) for source in callers.values())
+    units = []  # (module, label, name, class name or None, body nodes)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, defs):
+                run([node])
                 continue
-            methods = [sub for sub in node.body if isinstance(sub, defs) and not sub.name.startswith("_")]
-            for label, definition in [(node.name, node)] + [(f"{node.name}.{m.name}", m) for m in methods]:
-                own = Counter(referenced_names(definition))
-                if definition.name not in outside and inside[definition.name] == own[definition.name]:
-                    uncalled.append(f"{module}: {label}")
-    return uncalled
+            methods = [
+                sub for sub in node.body if isinstance(sub, defs) and not sub.name.startswith("_")
+            ] if isinstance(node, ast.ClassDef) else []
+            rest = [sub for sub in ast.iter_child_nodes(node) if sub not in methods]
+            units.append((module, node.name, node.name, None, rest))
+            for method in methods:
+                units.append((module, f"{node.name}.{method.name}", method.name, node.name, [method]))
+    live = set()
+    changed = True
+    while changed:
+        changed = False
+        for module, label, name, owner, body in units:
+            if label not in live and (owner in live and name in attributes if owner else name in names):
+                live.add(label)
+                run(body)
+                changed = True
+    return [
+        f"{module}: {label}"
+        for module, label, name, owner, body in units
+        if label not in live and not label.startswith("_")
+    ]
 
 
 def test_the_scan_sees_an_uncalled_public_definition():
@@ -123,6 +148,27 @@ def test_the_scan_sees_an_uncalled_public_definition():
     assert uncalled_public_definitions(sources, {"bench.py": "import a\na.Kept()\n"}) == [
         "a.py: left",
         "a.py: Kept.stay",
+    ]
+
+
+def test_the_scan_counts_a_method_called_only_through_an_attribute():
+    # a local variable that shares a method's name does not call the method
+    source = (
+        "class Box:\n    def faces(self): ...\n    def size(self): ...\n"
+        "    def build(self):\n        faces = 1\n        return faces + self.size()\n"
+        "x = Box().build()\n"
+    )
+    assert uncalled_public_definitions({"a.py": source}, {}) == ["a.py: Box.faces"]
+
+
+def test_the_scan_sees_a_definition_only_dead_code_refers_to():
+    # helper is called only by dead code, directly and through a private function
+    source = (
+        "class Row: ...\ndef helper(): return Row()\ndef _middle(): return helper()\n"
+        "def dead(): return _middle()\ndef live(): ...\nlive()\n"
+    )
+    assert uncalled_public_definitions({"a.py": source}, {}) == [
+        "a.py: Row", "a.py: helper", "a.py: dead"
     ]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from math import comb
 
 import pytest
 
@@ -183,3 +184,26 @@ def test_greedy_proper_orders_are_pinned():
             rows.append([d, mask, removal_order(find_erasure_sequence(target, True, True))])
     digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
     assert digest == "9f421e708e829ea5ab9b39e17cc0ae601d1bbe85d4f9f651d3b3ae6fed465ad3"
+
+
+def test_orders_at_6_3_are_pinned():
+    # Plain, proper and greedy proper orders over a seeded sample of 3-clutters
+    # on 6 vertices: up to ten per circuit count, so the sparse targets, where
+    # the searches go deep, are as well represented as the dense ones.
+    rng = random.Random(0)
+    rows = []
+    for k in range(21):
+        masks = set()
+        while len(masks) < min(10, comb(20, k)):
+            masks.add(sum(1 << i for i in rng.sample(range(20), k)))
+        for mask in sorted(masks):
+            target = Clutter.from_index_mask(6, 3, mask)
+            rows.append([
+                mask,
+                removal_order(find_erasure_sequence(target)),
+                removal_order(find_erasure_sequence(target, True)),
+                removal_order(find_erasure_sequence(target, True, True)),
+            ])
+    assert len(rows) == 192
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "973f0be849ac402dfc1e232e7783db3bcd7b6ded3ae4af53c2d6f4aa2b5c7bff"
