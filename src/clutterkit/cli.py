@@ -31,7 +31,7 @@ from .graphs import (
     perfect_elimination_ordering,
     properly_exposed_subgraph,
 )
-from .homology import hochster_betti_table
+from .homology import FIELDS, hochster_betti_table
 from .ideals import (
     colon_by_monomial,
     find_quotient_order,
@@ -349,26 +349,24 @@ def _cmd_probe(args) -> tuple[int, dict, list[str]]:
     return 0, report, [f"observations: {len(report['counterexamples'])} counterexample(s)"]
 
 
+# The ``suite exhaustive`` kinds and the call each makes.  ``skeleton`` is one
+# search in this process, so its ``--jobs`` is checked, not used.
+_EXHAUSTIVE = {
+    "froberg": lambda args: suites.froberg_suite(args.n, jobs=args.jobs),
+    "connectivity": lambda args: suites.connectivity_suite(args.n, jobs=args.jobs),
+    "clutter-erasure": lambda args: suites.clutter_erasure_suite(args.n, args.d, jobs=args.jobs),
+    "chromatic": lambda args: suites.chromatic_suite(args.n, jobs=args.jobs),
+    "boundary": lambda args: suites.boundary_suite(args.n, jobs=args.jobs),
+    "free-face": lambda args: suites.free_face_suite(args.n, args.d, jobs=args.jobs),
+    "skeleton": lambda args: suites.skeleton_extendability_suite(args.n),
+    "multiset": lambda args: suites.multiset_invariance_suite(args.n, args.d, jobs=args.jobs),
+}
+
+
 def _cmd_suite_exhaustive(args) -> tuple[int, dict, list[str]]:
-    what = args.what
-    if what == "froberg":
-        report = suites.froberg_suite(args.n, jobs=args.jobs)
-    elif what == "connectivity":
-        report = suites.connectivity_suite(args.n, jobs=args.jobs)
-    elif what == "clutter-erasure":
-        report = suites.clutter_erasure_suite(args.n, args.d, jobs=args.jobs)
-    elif what == "chromatic":
-        report = suites.chromatic_suite(args.n, jobs=args.jobs)
-    elif what == "boundary":
-        report = suites.boundary_suite(args.n, jobs=args.jobs)
-    elif what == "free-face":
-        report = suites.free_face_suite(args.n, args.d, jobs=args.jobs)
-    elif what == "skeleton":
-        suites._check_jobs(args.jobs)  # one search in this process; --jobs is checked, not used
-        report = suites.skeleton_extendability_suite(args.n)
-    else:
-        report = suites.multiset_invariance_suite(args.n, args.d, jobs=args.jobs)
-    return (0 if report["ok"] else 1), report, [f"{what}: {'ok' if report['ok'] else 'FAILED'}"]
+    suites._check_jobs(args.jobs)
+    report = _EXHAUSTIVE[args.what](args)
+    return (0 if report["ok"] else 1), report, [f"{args.what}: {'ok' if report['ok'] else 'FAILED'}"]
 
 
 def _cmd_suite_random(args) -> tuple[int, dict, list[str]]:
@@ -441,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         q = es.add_parser(name)
         q.add_argument("input")
-        q.add_argument("--field", choices=("gf2", "rational"), default="gf2")
+        q.add_argument("--field", choices=FIELDS, default="gf2")
         if name == "hochster":
             q.add_argument("--quotient", action="store_true", help="shift to the R/I convention")
         add_out(q)
@@ -484,19 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="verification sweeps")
     es = p.add_subparsers(dest="sub", required=True)
     q = es.add_parser("exhaustive")
-    q.add_argument(
-        "what",
-        choices=(
-            "froberg",
-            "connectivity",
-            "clutter-erasure",
-            "chromatic",
-            "boundary",
-            "free-face",
-            "skeleton",
-            "multiset",
-        ),
-    )
+    q.add_argument("what", choices=tuple(_EXHAUSTIVE))
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--d", type=int, default=2)
     q.add_argument("--jobs", type=int, default=1)
@@ -523,7 +509,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"missing input: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

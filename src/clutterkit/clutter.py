@@ -238,10 +238,15 @@ class Clutter:
         full = (1 << len(all_d_subsets(self.n, self.d))) - 1
         return Clutter.from_index_mask(self.n, self.d, full ^ self.circuit_index_mask)
 
-    def without(self, e) -> "Clutter":
+    def _circuit(self, e) -> tuple[int, ...]:
+        """``e`` as a sorted tuple; ``ValueError`` unless it is a circuit here."""
         e = tuple(sorted(e))
         if e not in self:
             raise ValueError(f"{e} is not a circuit")
+        return e
+
+    def without(self, e) -> "Clutter":
+        e = self._circuit(e)
         return Clutter(self.n, self.d, tuple(c for c in self.circuits if c != e))
 
     # -- cliques ----------------------------------------------------------
@@ -295,9 +300,7 @@ class Clutter:
 
     def maximal_cliques_containing(self, e) -> list[tuple[int, ...]]:
         """All maximal cliques containing the circuit e, lexicographically ordered."""
-        e = tuple(sorted(e))
-        if e not in self:
-            raise ValueError(f"{e} is not a circuit")
+        e = self._circuit(e)
         cands = [v for v in range(1, self.n + 1) if v not in e and self._compatible(e, v)]
         return sorted(self._extend_cliques(e, cands, []))
 
@@ -309,9 +312,7 @@ class Clutter:
         maximal clique.  (If e+Q is not a clique, two incompatible
         extensions force two distinct maximal cliques.)
         """
-        e = tuple(sorted(e))
-        if e not in self:
-            raise ValueError(f"{e} is not a circuit")
+        e = self._circuit(e)
         q = [v for v in range(1, self.n + 1) if v not in e and self._compatible(e, v)]
         if not q:
             return ExposedStatus(True, e, False)

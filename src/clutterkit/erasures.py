@@ -278,15 +278,14 @@ def erasure_reachable_set(n: int, d: int, require_proper: bool = False) -> set[i
     Removals only shrink the clutter, so a clutter is reachable iff its
     removed-set appears here.
     """
-    moves = _exposure_moves(n, d, 0, require_proper)
+    moves = _exposure_moves(n, d, require_proper)
     return set(iter(search.closure(comb(n, d), moves)))
 
 
-def _exposure_moves(n: int, d: int, start: int, require_proper: bool = False):
+def _exposure_moves(n: int, d: int, require_proper: bool = False):
     """The ``search.closure`` move test for (properly) exposed-circuit removals.
 
-    From ``start = 0`` a state is the set of circuits removed, from the
-    full mask the set left; either way a move toggles one circuit, so one
+    A state is the set of circuits removed, and a move removes one, so one
     link table follows ``search.closure`` or ``search.stuck`` from state to
     state.  The test returns the clique mask (``_erasable``).  Impossible
     sizes raise ``ValueError`` before any table is built.
@@ -295,7 +294,7 @@ def _exposure_moves(n: int, d: int, start: int, require_proper: bool = False):
     masks = d_subset_masks(n, d)
     link = link_table(n, d, (1 << len(masks)) - 1)
     ok = _erasable(link, masks, require_proper)
-    shown = start  # the state that ``link`` shows
+    shown = 0  # the state that ``link`` shows
 
     def allowed(state: int):
         nonlocal shown
@@ -328,11 +327,7 @@ def h_vector_check(cert: ErasureCertificate):
     n = cert.n
     everything = set(range(1, n + 1))
     facets = [tuple(sorted(everything - set(s.circuit))) for s in cert.removed]
-    if facets:
-        complex_ = SimplicialComplex(n, tuple(sorted(set(facets), key=lambda f: (len(f), f))))
-        h = complex_.h_vector
-    else:
-        h = ()
+    h = SimplicialComplex(n, tuple(sorted(set(facets), key=lambda f: (len(f), f)))).h_vector
     ks = cert.k_sequence
     counts = {k: ks.count(k) for k in set(ks)}
     equal = all(h[i] == counts.get(i, 0) for i in range(len(h))) and all(

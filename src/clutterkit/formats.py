@@ -6,6 +6,7 @@ skipped.  Parse errors carry the 1-based line number of the offender.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .clutter import Clutter
@@ -20,15 +21,6 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body))
-    return out
-
-
 def _ints(body: str, lineno: int) -> list[int]:
     try:
         return [int(tok) for tok in body.split()]
@@ -36,26 +28,44 @@ def _ints(body: str, lineno: int) -> list[int]:
         raise FormatError(f"expected integers, got {body!r}", lineno) from None
 
 
-def read_clutter(text: str) -> Clutter:
-    """`n d` header, then one circuit per line as space-separated vertices."""
-    lines = _content_lines(text)
+def _header(text: str, missing: str, arity: int, wrong: str):
+    """The header's line number, its ``arity`` integers, and the content
+    lines after it as ``(lineno, body)`` pairs.  A header of another arity
+    gets the message ``wrong``."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((lineno, body))
     if not lines:
-        raise FormatError("missing `n d` header", 1)
+        raise FormatError(f"missing {missing} header", 1)
     lineno, body = lines[0]
     header = _ints(body, lineno)
-    if len(header) != 2:
-        raise FormatError("header must be `n d`", lineno)
-    n, d = header
+    if len(header) != arity:
+        raise FormatError(wrong, lineno)
+    return lineno, header, lines[1:]
+
+
+@contextmanager
+def _reported_at(lineno: int):
+    """Turn a ``ValueError`` from the value's constructor into a ``FormatError`` at ``lineno``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
+
+
+def read_clutter(text: str) -> Clutter:
+    """`n d` header, then one circuit per line as space-separated vertices."""
+    at, (n, d), rows = _header(text, "`n d`", 2, "header must be `n d`")
     circuits = []
-    for lineno, body in lines[1:]:
+    for lineno, body in rows:
         vs = _ints(body, lineno)
         if len(vs) != d:
             raise FormatError(f"circuit has {len(vs)} vertices, expected {d}", lineno)
         circuits.append(tuple(vs))
-    try:
+    with _reported_at(at):
         return Clutter.from_circuits(n, d, circuits)
-    except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from None
 
 
 def write_clutter(clutter: Clutter) -> str:
@@ -69,24 +79,15 @@ def read_ideal(text: str) -> SquarefreeIdeal:
 
     The line order is kept: it is the candidate quotient order.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("missing `n` header", 1)
-    lineno, body = lines[0]
-    header = _ints(body, lineno)
-    if len(header) != 1:
-        raise FormatError("header must be a single variable count `n`", lineno)
-    n = header[0]
+    at, (n,), rows = _header(text, "`n`", 1, "header must be a single variable count `n`")
     supports = []
-    for lineno, body in lines[1:]:
+    for lineno, body in rows:
         vs = _ints(body, lineno)
         if not vs:
             raise FormatError("empty monomial", lineno)
         supports.append(tuple(vs))
-    try:
+    with _reported_at(at):
         return SquarefreeIdeal.from_supports(n, supports)
-    except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from None
 
 
 def write_ideal(ideal: SquarefreeIdeal) -> str:
@@ -101,26 +102,12 @@ def read_complex(text: str) -> tuple[SimplicialComplex, list[tuple[int, ...]]]:
     Returns the complex together with the facets in file order (shelling
     verification consumes the listed order).
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("missing `n` header", 1)
-    lineno, body = lines[0]
-    header = _ints(body, lineno)
-    if len(header) != 1:
-        raise FormatError("header must be a single vertex count `n`", lineno)
-    n = header[0]
+    at, (n,), rows = _header(text, "`n`", 1, "header must be a single vertex count `n`")
     facets = []
-    for lineno, body in lines[1:]:
-        if body == "-":
-            facets.append(())
-            continue
-        facets.append(tuple(sorted(_ints(body, lineno))))
-    try:
-        complex_ = SimplicialComplex(
-            n, tuple(sorted(set(facets), key=lambda f: (len(f), f)))
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from None
+    for lineno, body in rows:
+        facets.append(() if body == "-" else tuple(sorted(_ints(body, lineno))))
+    with _reported_at(at):
+        complex_ = SimplicialComplex(n, tuple(sorted(set(facets), key=lambda f: (len(f), f))))
     return complex_, facets
 
 
@@ -132,16 +119,12 @@ def write_complex(complex_: SimplicialComplex) -> str:
 
 def read_weighted_graph(text: str) -> WeightedGraph:
     """Clutter format with d = 2 and a trailing rational weight per edge line."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("missing `n d` header", 1)
-    lineno, body = lines[0]
-    header = _ints(body, lineno)
-    if len(header) != 2 or header[1] != 2:
-        raise FormatError("weighted graphs need header `n 2`", lineno)
-    n = header[0]
+    wrong = "weighted graphs need header `n 2`"
+    at, (n, d), rows = _header(text, "`n d`", 2, wrong)
+    if d != 2:
+        raise FormatError(wrong, at)
     edges = []
-    for lineno, body in lines[1:]:
+    for lineno, body in rows:
         toks = body.split()
         if len(toks) != 3:
             raise FormatError("edge lines are `u v weight`", lineno)
@@ -151,10 +134,8 @@ def read_weighted_graph(text: str) -> WeightedGraph:
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad edge line {body!r}", lineno) from None
         edges.append((u, v, w))
-    try:
+    with _reported_at(at):
         return WeightedGraph.from_edges(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc), lines[0][0]) from None
 
 
 def write_weighted_graph(weighted: WeightedGraph) -> str:

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import search
 from .clutter import (
     Clutter,
     SizeGuardError,
@@ -25,7 +24,7 @@ from .clutter import (
     toggle_circuit,
     vertex_mask,
 )
-from .erasures import _erasable, _exposure_moves
+from .erasures import _erasable, erasure_reachable_set
 
 CHORDAL_CLASSIC_MAX_N = 12
 DELETION_CONTRACTION_MAX_N = 10
@@ -458,13 +457,12 @@ def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
 def enumerate_chordal_graphs(n: int) -> set[int]:
     """Edge masks of every chordal graph on {1..n}.
 
-    Closure of exposed-edge removals from the complete graph
-    (``search.closure``); removals only delete edges, so each chordal
-    graph appears exactly once.
+    A graph is chordal iff exposed-edge erasures reach it from K_n, so these
+    are the complements of the d = 2 erasure closure
+    (``erasures.erasure_reachable_set``).
     """
-    total = n * (n - 1) // 2
-    start = (1 << total) - 1
-    return set(iter(search.closure(total, _exposure_moves(n, 2, start), start)))
+    full = (1 << n * (n - 1) // 2) - 1
+    return {full ^ removed for removed in erasure_reachable_set(n, 2)}
 
 
 def random_connected_chordal(n: int, rng: random.Random, target_edges: int | None = None) -> Clutter:

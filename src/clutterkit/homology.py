@@ -305,14 +305,14 @@ def hochster_betti_table(clutter: Clutter, field: str = "gf2") -> BettiTable:
     return BettiTable(entries=entries)
 
 
-def is_connected_graph_algebraic(graph: Clutter, field: str = "gf2") -> bool:
-    """Graph connectivity read off the Betti table: pdim < n - 2.
+def is_connected_graph_algebraic(graph: Clutter) -> bool:
+    """Graph connectivity read off the GF(2) Betti table: pdim < n - 2.
 
     The complete graph has a zero complement ideal and counts as connected.
     """
     if graph.d != 2:
         raise ValueError("connectivity test needs a graph (d = 2)")
-    table = hochster_betti_table(graph, field)
+    table = hochster_betti_table(graph, "gf2")
     if table.zero_ideal:
         return True
     return table.pdim < graph.n - 2

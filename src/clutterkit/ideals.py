@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import search
-from .clutter import Clutter, all_d_subsets, vertex_mask, mask_vertices
+from .clutter import Clutter, d_subset_masks, vertex_mask, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,6 @@ def quotient_reachable_set(n: int, d: int, small_only: bool = False) -> set[int]
     (``search.closure``).  With ``small_only`` each added generator must
     also have colon count < n - d.
     """
-    masks = [vertex_mask(e) for e in all_d_subsets(n, d)]
+    masks = d_subset_masks(n, d)
     moves = _quotient_moves(masks, n - d if small_only else None)
     return set(iter(search.closure(len(masks), moves)))

@@ -1,9 +1,8 @@
 """The subset searches behind the erasure, quotient, chordal and shelling code.
 
 Each search makes moves 0..total-1 one at a time (erase a circuit, add a
-generator, delete an edge, add a facet, delete a ridge), and whether a
-move may be made depends only on the set of moves already made, never on
-their order.  A state is that set as a bitmask.  So a breadth-first
+generator, add a facet, delete a ridge), and whether a move may be made
+depends only on the set of moves already made, never on their order.  A state is that set as a bitmask.  So a breadth-first
 closure meets every reachable set exactly once, and a state with no
 complete continuation is dead whichever order reached it, which makes a
 dead-set memo sound.
@@ -27,35 +26,34 @@ def check_moves(total: int) -> None:
         raise SizeGuardError(f"size guard: a subset closure needs at most {MAX_MOVES} moves, got {total}")
 
 
-def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: int = 0) -> dict[int, int]:
-    """Every state reachable from ``start``, mapped to the index of its last move.
+def closure(total: int, allowed: Callable[[int], Callable[[int], bool]]) -> dict[int, int]:
+    """Every state reachable from the empty set, mapped to the index of its last move.
 
-    Move i flips bit i, once: from ``start = 0`` moves add elements, from
-    the full mask they remove them.  ``allowed(state)`` returns the test
-    ``ok(i)`` for moves out of ``state``.  States are expanded
-    breadth-first, moves lowest index first, and a child already reached is
-    skipped before ``ok`` is called.  ``start`` maps to -1; any other
-    state's parent is ``state ^ (1 << last[state])``.  A state's ``ok`` is
-    done with before ``allowed`` is called for the next state, so
-    ``allowed`` may move one mutable context from state to state.  A caller
-    that needs only the states copies them with ``set(iter(last))``:
-    ``set(last)`` sizes its table for twice as many entries, which doubles
-    its memory.  Over ``MAX_MOVES`` moves it raises ``SizeGuardError``
-    before any work (``check_moves``).
+    Move i sets bit i, once.  ``allowed(state)`` returns the test ``ok(i)``
+    for moves out of ``state``.  States are expanded breadth-first, moves
+    lowest index first, and a child already reached is skipped before
+    ``ok`` is called.  The empty set maps to -1; any other state's parent
+    is ``state ^ (1 << last[state])``.  A state's ``ok`` is done with
+    before ``allowed`` is called for the next state, so ``allowed`` may move
+    one mutable context from state to state.  A caller that needs only the
+    states copies them with ``set(iter(last))``: ``set(last)`` sizes its
+    table for twice as many entries, which doubles its memory.  Over
+    ``MAX_MOVES`` moves it raises ``SizeGuardError`` before any work
+    (``check_moves``).
     """
     check_moves(total)
     full = (1 << total) - 1
-    last = {start: -1}
-    frontier = [start]
+    last = {0: -1}
+    frontier = [0]
     while frontier:
         new_frontier = []
         for state in frontier:
             ok = allowed(state)
-            free = full ^ state ^ start
+            free = full ^ state
             while free:
                 bit = free & -free
                 free ^= bit
-                child = state ^ bit
+                child = state | bit
                 if child in last:
                     continue
                 i = bit.bit_length() - 1
@@ -69,10 +67,10 @@ def closure(total: int, allowed: Callable[[int], Callable[[int], bool]], start: 
 def stuck(total: int, allowed: Callable[[int], Callable[[int], bool]], states) -> list[int]:
     """The states, in the given order, that are not complete and allow no move.
 
-    ``allowed`` is as for ``closure`` from ``start = 0``; a state is
-    complete when every move has been made.  Over states that ``closure``
-    reached, a state that is not stuck has a move to a reached state one
-    move on, so none is stuck iff every reached state completes.
+    ``allowed`` is as for ``closure``; a state is complete when every move
+    has been made.  Over states that ``closure`` reached, a state that is
+    not stuck has a move to a reached state one move on, so none is stuck
+    iff every reached state completes.
     """
     full = (1 << total) - 1
     out = []
@@ -86,7 +84,7 @@ def stuck(total: int, allowed: Callable[[int], Callable[[int], bool]], states) -
 
 
 def path(last: dict[int, int], state: int) -> list[int]:
-    """The moves ``closure`` recorded from its start to ``state``, in order."""
+    """The moves ``closure`` recorded from the empty set to ``state``, in order."""
     moves = []
     while (i := last[state]) >= 0:
         moves.append(i)

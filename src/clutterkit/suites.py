@@ -374,7 +374,7 @@ def probe_simon(n: int, d: int) -> dict:
     reachable by exposed-circuit removals should itself contain an exposed
     circuit (unless it has none at all), that is, no reached state is
     stuck.  Counterexamples are reported as observations, never asserted."""
-    allowed = _exposure_moves(n, d, 0)
+    allowed = _exposure_moves(n, d)
     total = comb(n, d)
     reach = search.closure(total, allowed)
     full = (1 << total) - 1
@@ -421,7 +421,7 @@ def multiset_invariance_suite(n: int, d: int, jobs: int = 1) -> dict:
     field k.  ``jobs`` is checked, not used: the pass runs in this process.
     """
     _check_jobs(jobs)
-    allowed = _exposure_moves(n, d, 0)
+    allowed = _exposure_moves(n, d)
     total = comb(n, d)
     full = (1 << total) - 1
     width = total.bit_length()

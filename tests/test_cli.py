@@ -329,3 +329,34 @@ def test_unsorted_circuit_is_invalid(capsys, tmp_path):
     path.write_text(json.dumps({"n": 4, "d": 2, "removed": [step]}))
     code, out, _ = run(capsys, "erasures", "verify", str(path))
     assert code == 1 and "step 1" in last_json(out)["error"]
+
+
+# Inputs that must be refused with exit 2 and a one-line message, never a
+# traceback, within a second.  Each row writes its files into a fresh
+# directory and returns the argv that reads them.
+BAD_INPUTS = {
+    "directory": lambda tmp: ("complement", str(tmp)),
+    "non-utf8": lambda tmp: ("complement", write(tmp / "bin.clut", b"\xff\xfe\x00bad")),
+    "json-list-certificate": lambda tmp: ("erasures", "verify", write(tmp / "cert.json", b"[1, 2]")),
+    "circuit-not-integers": lambda tmp: ("exposed", write(tmp / "g.clut", G5_TEXT.encode()), "--circuit", "a"),
+    "empty-monomial": lambda tmp: (
+        "ideal", "colon", write(tmp / "ideal.txt", IDEAL_TEXT.encode()), "--monomial", ""
+    ),
+    "header-0-0": lambda tmp: ("complement", write(tmp / "zero.clut", b"0 0\n")),
+    "weight-not-rational": lambda tmp: ("graph", "mst", write(tmp / "w.clut", b"3 2\n1 2 x\n")),
+    "negative-d": lambda tmp: ("probe", "ridge-chordal", "--n", "3", "--d", "-1"),
+}
+
+
+def write(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("row", BAD_INPUTS)
+def test_bad_input_exits_2_without_a_traceback(capsys, tmp_path, row):
+    argv = BAD_INPUTS[row](tmp_path)
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0

@@ -62,3 +62,43 @@ def test_weighted_graph_round_trip():
     with pytest.raises(formats.FormatError) as err:
         formats.read_weighted_graph("3 2\n1 2\n")
     assert err.value.line == 2
+
+
+# Every FormatError message and line, recorded before the four readers shared
+# one header parser: for each reader, the missing header, a wrong header, a
+# bad row and an error from the constructor of the value (reported at the header).
+FORMAT_ERRORS = [
+    ("read_clutter", "", "line 1: missing `n d` header"),
+    ("read_clutter", "# only a comment\n\n", "line 1: missing `n d` header"),
+    ("read_clutter", "4\n", "line 1: header must be `n d`"),
+    ("read_clutter", "# c\n4 x\n", "line 2: expected integers, got '4 x'"),
+    ("read_clutter", "4 2\n1 2 3\n", "line 2: circuit has 3 vertices, expected 2"),
+    ("read_clutter", "4 2\n1 x\n", "line 2: expected integers, got '1 x'"),
+    ("read_clutter", "# c\n4 2\n1 2\n1 5\n", "line 2: circuit (1, 5) out of range 1..4"),
+    ("read_clutter", "0 0\n", "line 1: need 1 <= d <= n, got d=0, n=0"),
+    ("read_ideal", "", "line 1: missing `n` header"),
+    ("read_ideal", "\n4 2\n", "line 2: header must be a single variable count `n`"),
+    ("read_ideal", "4\n1 2\n\n-\n", "line 4: expected integers, got '-'"),
+    ("read_ideal", "4\n1 x\n", "line 2: expected integers, got '1 x'"),
+    ("read_ideal", "# c\n4\n1 5\n", "line 2: generator x1*x5 uses variables beyond x4"),
+    ("read_complex", "", "line 1: missing `n` header"),
+    ("read_complex", "5 2\n", "line 1: header must be a single vertex count `n`"),
+    ("read_complex", "5\n1 2\n1 y\n", "line 3: expected integers, got '1 y'"),
+    ("read_complex", "3\n1 4\n", "line 1: facet (1, 4) out of range 1..3"),
+    ("read_complex", "\n\n3\n1 1\n", "line 3: facet (1, 1) is not a sorted duplicate-free tuple"),
+    ("read_weighted_graph", "", "line 1: missing `n d` header"),
+    ("read_weighted_graph", "3 3\n", "line 1: weighted graphs need header `n 2`"),
+    ("read_weighted_graph", "# c\n3\n", "line 2: weighted graphs need header `n 2`"),
+    ("read_weighted_graph", "3 2\n1 2\n", "line 2: edge lines are `u v weight`"),
+    ("read_weighted_graph", "3 2\n1 2 x\n", "line 2: bad edge line '1 2 x'"),
+    ("read_weighted_graph", "3 2\n1 2 1/0\n", "line 2: bad edge line '1 2 1/0'"),
+    ("read_weighted_graph", "# c\n3 2\n1 4 1\n", "line 2: circuit (1, 4) out of range 1..3"),
+]
+
+
+@pytest.mark.parametrize("reader, text, message", FORMAT_ERRORS)
+def test_format_error_messages_are_pinned(reader, text, message):
+    with pytest.raises(formats.FormatError) as err:
+        getattr(formats, reader)(text)
+    assert str(err.value) == message
+    assert err.value.line == int(message.split(":")[0].removeprefix("line "))

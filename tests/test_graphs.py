@@ -220,8 +220,8 @@ def test_enumerate_chordal_graphs_counts():
 
 
 def test_enumerate_matches_general_reachability():
-    # closure over removed-edge sets from the empty set vs closure over
-    # edge sets from the complete graph
+    # the enumeration is the complement of the d = 2 erasure closure by
+    # definition; test_enumerate_chordal_graphs_counts is the independent check
     from clutterkit.erasures import erasure_reachable_set
 
     for n in (3, 4, 5, 6):

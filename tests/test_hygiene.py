@@ -193,3 +193,77 @@ def test_every_public_definition_has_a_caller():
     callers = {path.name: path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))}
     kept = {label.split(": ")[1] for label in uncalled_public_definitions(sources, callers)}
     assert kept == set(KEPT_FOR_TESTS)
+
+
+def unset_default_parameters(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Parameters with a default that no call in ``sources`` or ``callers`` sets.
+
+    The definitions are the top-level functions of ``sources`` and the
+    methods of their top-level classes, labelled ``module.name(parameter)``.
+    A call matches a definition by its bare name (``f(...)`` or
+    ``x.f(...)``), so a call to another function of the same name counts
+    too.  A call sets a parameter by keyword, by position (a method's
+    first parameter is bound by the attribute, unless it is a static
+    method), or through ``*args`` or ``**kwargs``, which set them all.
+    """
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    candidates = []  # (label, name, position or None, keyword)
+    for module, source in sources.items():
+        stem = module.removesuffix(".py")
+        for node in ast.parse(source).body:
+            found = [(node, stem, 0)] if isinstance(node, defs) else []
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, defs):
+                        static = any(getattr(dec, "id", None) == "staticmethod" for dec in sub.decorator_list)
+                        found.append((sub, f"{stem}.{node.name}", 0 if static else 1))
+            for func, owner, bound in found:
+                positional = func.args.posonlyargs + func.args.args
+                first = len(positional) - len(func.args.defaults)
+                for position, arg in enumerate(positional[first:], start=first - bound):
+                    kw = None if arg in func.args.posonlyargs else arg.arg
+                    candidates.append((f"{owner}.{func.name}({arg.arg})", func.name, position, kw))
+                for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+                    if default is not None:
+                        candidates.append((f"{owner}.{func.name}({arg.arg})", func.name, None, arg.arg))
+    setters: dict[str, list[tuple[float, set]]] = {}  # name -> (positional count, keywords) per call
+    for source in list(sources.values()) + list(callers.values()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                spread = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                setters.setdefault(name, []).append((float("inf") if spread else len(node.args), keywords))
+    return [
+        label
+        for label, name, position, keyword in candidates
+        if not any(
+            (position is not None and count > position) or keyword in keywords or None in keywords
+            for count, keywords in setters.get(name, [])
+        )
+    ]
+
+
+def test_the_scan_sees_a_default_no_call_sets():
+    sources = {
+        "a.py": "def f(x, y=1, z=2): ...\nclass C:\n    def m(self, w=0): ...\n"
+        "f(0, 5)\nC().m(w=3)\n",
+    }
+    assert unset_default_parameters(sources, {}) == ["a.f(z)"]
+    assert unset_default_parameters(sources, {"bench.py": "from a import f\nf(1, z=3)\n"}) == []
+
+
+# Parameters with a default that nothing in src/ or perfbench/ sets, each kept for a reason.
+KEPT_DEFAULTS = {
+    "cli.main(argv)": "the in-process entry point that the tests call with an argument list",
+    "graphs.random_connected_chordal(target_edges)":
+        "test_mst_intermediate_states_stay_connected_chordal draws a 12-edge graph",
+    "shelling.shelling_to_erasures(d)": "the void shelling carries no dimension",
+}
+
+
+def test_every_default_parameter_has_a_caller():
+    package = ROOT / "src" / "clutterkit"
+    sources = {path.name: path.read_text() for path in SOURCES if path.parent == package}
+    callers = {path.name: path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert set(unset_default_parameters(sources, callers)) == set(KEPT_DEFAULTS)

@@ -75,18 +75,21 @@ def greedy_chain(rule):
 @pytest.mark.parametrize("start", [0, (1 << TOTAL) - 1])
 @pytest.mark.parametrize("rule", RULES)
 def test_closure_matches_every_order(rule, start):
-    last = search.closure(TOTAL, lambda state: lambda i: rule(state, i), start)
+    # The closure counts the moves made from 0; a walk from the full mask
+    # removes elements, and its states are those sets of moves flipped by
+    # ``start``, as enumerate_chordal_graphs reads the erasure closure.
+    last = search.closure(TOTAL, lambda removed: lambda i: rule(start ^ removed, i))
     states, _ = walks(rule, start)
-    assert set(last) == states
-    assert last[start] == -1
-    for state in last:
-        order = search.path(last, state)
-        assert sorted(order) == [i for i in range(TOTAL) if (state ^ start) >> i & 1]
+    assert {start ^ removed for removed in last} == states
+    assert last[0] == -1
+    for removed in last:
+        order = search.path(last, removed)
+        assert sorted(order) == [i for i in range(TOTAL) if removed >> i & 1]
         placed = start
         for i in order:
             assert rule(placed, i)
             placed ^= 1 << i
-        assert placed == state
+        assert placed == start ^ removed
 
 
 @pytest.mark.parametrize("rule", RULES)
