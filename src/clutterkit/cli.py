@@ -56,12 +56,16 @@ def _circuit_arg(text: str) -> tuple[int, ...]:
 
 
 def _emit(report: dict, human: list[str], out: str | None) -> None:
-    for line in human:
-        print(line)
+    """Print the human lines, and the JSON report to stdout or to ``out``.
+
+    The file is written first, so a failed write prints nothing.
+    """
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(payload)
-    else:
+    for line in human:
+        print(line)
+    if not out:
         sys.stdout.write(payload)
 
 
@@ -518,7 +522,11 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"property failed: {exc}", file=sys.stderr)
         return 1
-    _emit(report, human, getattr(args, "out", None))
+    try:
+        _emit(report, human, getattr(args, "out", None))
+    except OSError as exc:  # --out names a directory, a missing folder or a read-only file
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -124,6 +124,7 @@ def read_weighted_graph(text: str) -> WeightedGraph:
     if d != 2:
         raise FormatError(wrong, at)
     edges = []
+    first = {}  # edge -> (line, weight) where it first appears
     for lineno, body in rows:
         toks = body.split()
         if len(toks) != 3:
@@ -133,6 +134,10 @@ def read_weighted_graph(text: str) -> WeightedGraph:
             w = Fraction(toks[2])
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad edge line {body!r}", lineno) from None
+        edge = (min(u, v), max(u, v))
+        at_line, weight = first.setdefault(edge, (lineno, w))
+        if weight != w:  # an equal repeat is one edge, as in read_clutter
+            raise FormatError(f"edge {edge} has weight {w}, but {weight} on line {at_line}", lineno)
         edges.append((u, v, w))
     with _reported_at(at):
         return WeightedGraph.from_edges(n, edges)

@@ -6,7 +6,8 @@ Graphs are 2-clutters.  Edge exposure runs on the clutter link table
 every loop here tests proper exposure with ``erasures._erasable``.
 Adjacency bitmask lists (``adj[v-1]`` has bit ``w-1`` set for each
 neighbor w) remain for elimination orders, connectivity and
-deletion-contraction.
+deletion-contraction; the boundary reads its elimination order off the
+link table's vertex rows, which are that list.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .clutter import (
     Clutter,
@@ -221,11 +223,17 @@ def _poly_sub(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 def chromatic_polynomial_product(graph: Clutter) -> Polynomial:
     """Product of (t - later-degree) along a perfect elimination ordering."""
-    peo = perfect_elimination_ordering(graph)
+    peo = _peo_masks(adjacency_masks(graph), graph.n)
     if peo is None:
         raise ValueError("the product formula applies to chordal graphs only")
+    return _falling(tuple(sorted(peo[1])))
+
+
+@lru_cache(maxsize=1 << 12)  # 126 keys cover every chordal graph on at most 7 vertices
+def _falling(degrees: tuple[int, ...]) -> Polynomial:
+    """The product of (t - d) over ``degrees``, sorted: it depends only on the multiset."""
     coeffs: tuple[int, ...] = (1,)
-    for deg in peo.degrees:
+    for deg in degrees:
         coeffs = tuple(_poly_mul(coeffs, (-deg, 1)))
     return Polynomial.from_coeffs(coeffs)
 
@@ -436,6 +444,8 @@ def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
         adj[v - 1] |= 1 << (u - 1)
 
     def bridge(u: int, v: int) -> bool:
+        if adj[u - 1] & adj[v - 1]:  # uv lies on a triangle of the boundary
+            return False
         rest = list(adj)
         rest[u - 1] ^= 1 << (v - 1)
         rest[v - 1] ^= 1 << (u - 1)
@@ -446,7 +456,7 @@ def properly_exposed_subgraph(graph: Clutter) -> BoundaryReport:
         if comp & (comp - 1):  # the components with an edge
             ok = not any(bridge(u, v) for u, v in boundary if comp >> (u - 1) & 1)
             components.append((mask_vertices(comp), ok))
-    chordal = perfect_elimination_ordering(graph) is not None
+    chordal = _peo_masks([link[1 << v] for v in range(graph.n)], graph.n) is not None
     if chordal and any(not ok for _, ok in components):
         raise RuntimeError("properly exposed subgraph of a chordal graph grew a bridge")
     return BoundaryReport(tuple(boundary), tuple(components), chordal)

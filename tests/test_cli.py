@@ -345,6 +345,8 @@ BAD_INPUTS = {
     "header-0-0": lambda tmp: ("complement", write(tmp / "zero.clut", b"0 0\n")),
     "weight-not-rational": lambda tmp: ("graph", "mst", write(tmp / "w.clut", b"3 2\n1 2 x\n")),
     "negative-d": lambda tmp: ("probe", "ridge-chordal", "--n", "3", "--d", "-1"),
+    "out-is-a-directory": lambda tmp: ("complement", write(tmp / "g.clut", G5_TEXT.encode()), "--out", str(tmp)),
+    "edge-with-two-weights": lambda tmp: ("graph", "mst", write(tmp / "w.clut", b"3 2\n1 2 1\n2 1 3\n2 3 5\n")),
 }
 
 
@@ -360,3 +362,10 @@ def test_bad_input_exits_2_without_a_traceback(capsys, tmp_path, row):
     code, _, err = run(capsys, *argv)
     assert code == 2 and len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_unwritable_out_names_the_output_path(capsys, tmp_path):
+    source = write(tmp_path / "g.clut", G5_TEXT.encode())
+    code, out, err = run(capsys, "complement", source, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot write output: ") and str(tmp_path) in err

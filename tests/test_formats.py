@@ -64,9 +64,18 @@ def test_weighted_graph_round_trip():
     assert err.value.line == 2
 
 
+def test_weighted_graph_accepts_an_equal_repeated_edge():
+    # an edge listed twice with one weight is one edge, as a repeated circuit
+    # is in read_clutter; a different weight is an error (FORMAT_ERRORS)
+    weighted = formats.read_weighted_graph("3 2\n1 2 1\n2 1 2/2\n2 3 5\n")
+    assert weighted.graph.circuits == ((1, 2), (2, 3))
+    assert weighted.weights == (Fraction(1), Fraction(5))
+
+
 # Every FormatError message and line, recorded before the four readers shared
 # one header parser: for each reader, the missing header, a wrong header, a
 # bad row and an error from the constructor of the value (reported at the header).
+# The last row, an edge repeated with another weight, came later.
 FORMAT_ERRORS = [
     ("read_clutter", "", "line 1: missing `n d` header"),
     ("read_clutter", "# only a comment\n\n", "line 1: missing `n d` header"),
@@ -93,6 +102,7 @@ FORMAT_ERRORS = [
     ("read_weighted_graph", "3 2\n1 2 x\n", "line 2: bad edge line '1 2 x'"),
     ("read_weighted_graph", "3 2\n1 2 1/0\n", "line 2: bad edge line '1 2 1/0'"),
     ("read_weighted_graph", "# c\n3 2\n1 4 1\n", "line 2: circuit (1, 4) out of range 1..3"),
+    ("read_weighted_graph", "3 2\n1 2 1\n2 1 3\n2 3 5\n", "line 3: edge (1, 2) has weight 3, but 1 on line 2"),
 ]
 
 

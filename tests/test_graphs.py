@@ -303,3 +303,28 @@ def test_graph_erasure_outputs_are_pinned():
         rows.append(random_connected_chordal(3 + seed % 6, random.Random(seed)).circuits)
     digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
     assert digest == "de56381faa1c1876b1d82bf9ed170358ad5151d7f50e7047bfef57a66871e9aa"
+
+
+def test_chordal_products_and_boundaries_are_pinned():
+    # The elimination product's coefficients and the full boundary report for
+    # every chordal graph on 6 vertices and 1,000 seeded chordal graphs on 7,
+    # as they were before the product was memoized on sorted later degrees,
+    # the boundary read chordality off its link table and triangle edges
+    # skipped the bridge search.
+    rng = random.Random(21)
+    sample = []
+    while len(sample) < 1000:
+        gmask = rng.getrandbits(21)
+        if perfect_elimination_ordering(graph_from_edge_mask(7, gmask)) is not None:
+            sample.append(gmask)
+    rows = []
+    for n, gmask in [(6, g) for g in sorted(enumerate_chordal_graphs(6))] + [(7, g) for g in sample]:
+        graph = graph_from_edge_mask(n, gmask)
+        report = properly_exposed_subgraph(graph)
+        rows.append([
+            n, gmask, chromatic_polynomial_product(graph).coeffs,
+            report.edges, report.components, report.input_chordal,
+        ])
+    assert len(rows) == 18_154 + 1000
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "02b220e5af0994f883e5a8230ace7835949109215f531e525ce6ab2ae2d9dea9"

@@ -267,3 +267,58 @@ def test_every_default_parameter_has_a_caller():
     sources = {path.name: path.read_text() for path in SOURCES if path.parent == package}
     callers = {path.name: path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))}
     assert set(unset_default_parameters(sources, callers)) == set(KEPT_DEFAULTS)
+
+
+def unbounded_caches(sources: dict[str, str]) -> list[str]:
+    """Functions in ``sources`` memoized by ``functools.cache`` or by an
+    ``lru_cache`` whose ``maxsize`` is None, labelled ``module.name``.
+
+    Only decorators count: a plain dict used as a cache, such as
+    ``homology._homology_cache``, is outside this scan.
+    """
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                if name == "cache":
+                    unbounded = True
+                elif name == "lru_cache" and call:
+                    sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                    unbounded = any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+                else:  # a bare @lru_cache keeps 128 entries
+                    unbounded = False
+                if unbounded:
+                    found.append(f"{module.removesuffix('.py')}.{node.name}")
+    return found
+
+
+def test_the_scan_sees_an_unbounded_cache():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(): ...\n@functools.lru_cache(None)\ndef b(): ...\n"
+        "@cache\ndef c(): ...\n@functools.cache\ndef d(): ...\n"
+        "@lru_cache(maxsize=1 << 12)\ndef e(): ...\n@lru_cache\ndef f(): ...\n"
+        "@lru_cache(64)\ndef g(): ...\n"
+    )
+    assert unbounded_caches({"m.py": source}) == ["m.a", "m.b", "m.c", "m.d"]
+
+
+# Caches kept without a bound, each with the reason it stays small.
+KEPT_UNBOUNDED = {
+    "clutter.all_d_subsets": "one entry per (n, d)",
+    "clutter.d_subset_index": "one entry per (n, d)",
+    "clutter.d_subset_masks": "one entry per (n, d)",
+    "erasures._complete_tables": "one entry per (n, d), the complete clutter's tables",
+    "homology._within_table": "one entry per (n, d)",
+}
+
+
+def test_every_cache_is_bounded():
+    package = ROOT / "src" / "clutterkit"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert set(unbounded_caches(sources)) == set(KEPT_UNBOUNDED)
