@@ -9,8 +9,9 @@ The searches test exposure on a mutable *link table* (``link_table``,
 ``toggle_circuit``, ``exposed_clique``).  ``exposed_clique`` is Q
 (``extensions``) followed by the clique test on e+Q (``clique_closure``); the
 erasure search caches Q per candidate and calls ``clique_closure`` alone.
-``Clutter.exposed_status`` is the independent reference that certificate
-replay uses.
+``Clutter.exposed_status`` is the independent reference: its body,
+``_exposed_status``, reads only a set of circuit masks, and certificate replay
+runs it on one such set that it updates step by step.
 """
 
 from __future__ import annotations
@@ -159,6 +160,43 @@ def _check_size(n: int, d: int) -> None:
         raise SizeGuardError(f"size guard: at most {MAX_VERTICES} vertices supported, got n={n}")
 
 
+# -- the reference exposure test, on a set of circuit masks --------------------
+
+def _is_clique(d: int, masks, vs: tuple[int, ...]) -> bool:
+    """True iff ``vs`` has fewer than d vertices or all its d-subsets are in ``masks``."""
+    return len(vs) < d or all(vertex_mask(s) in masks for s in itertools.combinations(vs, d))
+
+
+def _compatible(d: int, masks, clique: tuple[int, ...], v: int) -> bool:
+    """True iff clique+v is a clique, given that ``clique`` is one: iff every
+    d-subset through v is in ``masks``."""
+    if len(clique) < d - 1:
+        return True
+    vbit = 1 << (v - 1)
+    for rest in itertools.combinations(clique, d - 1):
+        if vertex_mask(rest) | vbit not in masks:
+            return False
+    return True
+
+
+def _exposed_status(n: int, d: int, masks, e: tuple[int, ...]) -> ExposedStatus:
+    """Whether the sorted circuit e lies in a unique maximal clique of the
+    clutter whose circuit masks are ``masks``.
+
+    Uses the closed-extension shortcut: with Q = {v : e+v is a clique},
+    e is exposed iff e+Q is itself a clique, and then e+Q is the unique
+    maximal clique.  (If e+Q is not a clique, two incompatible
+    extensions force two distinct maximal cliques.)
+    """
+    q = [v for v in range(1, n + 1) if v not in e and _compatible(d, masks, e, v)]
+    if not q:
+        return ExposedStatus(True, e, False)
+    closure = tuple(sorted(e + tuple(q)))
+    if _is_clique(d, masks, closure):
+        return ExposedStatus(True, closure, len(closure) > d)
+    return ExposedStatus(False)
+
+
 @dataclass(frozen=True)
 class Clutter:
     n: int
@@ -227,8 +265,12 @@ class Clutter:
             m |= 1 << index[e]
         return m
 
+    @cached_property
+    def _circuit_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.circuits)
+
     def __contains__(self, e) -> bool:
-        return tuple(sorted(e)) in set(self.circuits)
+        return tuple(sorted(e)) in self._circuit_set
 
     def __len__(self) -> int:
         return len(self.circuits)
@@ -251,30 +293,6 @@ class Clutter:
 
     # -- cliques ----------------------------------------------------------
 
-    def is_clique(self, vertices) -> bool:
-        """True iff the set has fewer than d vertices or all its d-subsets are circuits."""
-        vs = tuple(sorted(set(vertices)))
-        if not vs:
-            raise ValueError("empty vertex set")
-        if vs[0] < 1 or vs[-1] > self.n:
-            raise ValueError(f"vertices {vs} out of range 1..{self.n}")
-        if len(vs) < self.d:
-            return True
-        masks = self.circuit_masks
-        return all(vertex_mask(s) in masks for s in itertools.combinations(vs, self.d))
-
-    def _compatible(self, clique_vertices: tuple[int, ...], v: int) -> bool:
-        # clique_vertices is a clique; adding v stays one iff every d-subset
-        # through v is a circuit (the rest are covered by hypothesis).
-        if len(clique_vertices) < self.d - 1:
-            return True
-        masks = self.circuit_masks
-        vbit = 1 << (v - 1)
-        for rest in itertools.combinations(clique_vertices, self.d - 1):
-            if vertex_mask(rest) | vbit not in masks:
-                return False
-        return True
-
     def _extend_cliques(self, base: tuple[int, ...], candidates: list[int], excluded: list[int]):
         # Bron-Kerbosch style enumeration; cliqueness is hereditary, so a
         # clique is maximal iff no single vertex extends it.  No pivoting:
@@ -283,43 +301,31 @@ class Clutter:
         if not candidates and not excluded:
             yield base
             return
+        d, masks = self.d, self.circuit_masks
         cands = list(candidates)
         excl = list(excluded)
         while cands:
             v = cands.pop(0)
             new_base = tuple(sorted(base + (v,)))
-            new_cands = [u for u in cands if self._compatible(new_base, u)]
-            new_excl = [u for u in excl if self._compatible(new_base, u)]
+            new_cands = [u for u in cands if _compatible(d, masks, new_base, u)]
+            new_excl = [u for u in excl if _compatible(d, masks, new_base, u)]
             yield from self._extend_cliques(new_base, new_cands, new_excl)
             excl.append(v)
 
     def max_cliques(self) -> list[tuple[int, ...]]:
         """All inclusion-maximal cliques, lexicographically ordered."""
-        first = [v for v in range(1, self.n + 1) if self._compatible((), v)]
+        first = [v for v in range(1, self.n + 1) if _compatible(self.d, self.circuit_masks, (), v)]
         return sorted(self._extend_cliques((), first, []))
 
     def maximal_cliques_containing(self, e) -> list[tuple[int, ...]]:
         """All maximal cliques containing the circuit e, lexicographically ordered."""
         e = self._circuit(e)
-        cands = [v for v in range(1, self.n + 1) if v not in e and self._compatible(e, v)]
+        cands = [v for v in range(1, self.n + 1) if v not in e and _compatible(self.d, self.circuit_masks, e, v)]
         return sorted(self._extend_cliques(e, cands, []))
 
     def exposed_status(self, e) -> ExposedStatus:
-        """Decide whether circuit e lies in a unique maximal clique.
-
-        Uses the closed-extension shortcut: with Q = {v : e+v is a clique},
-        e is exposed iff e+Q is itself a clique, and then e+Q is the unique
-        maximal clique.  (If e+Q is not a clique, two incompatible
-        extensions force two distinct maximal cliques.)
-        """
-        e = self._circuit(e)
-        q = [v for v in range(1, self.n + 1) if v not in e and self._compatible(e, v)]
-        if not q:
-            return ExposedStatus(True, e, False)
-        closure = tuple(sorted(e + tuple(q)))
-        if self.is_clique(closure):
-            return ExposedStatus(True, closure, len(closure) > self.d)
-        return ExposedStatus(False)
+        """Decide whether circuit e lies in a unique maximal clique (``_exposed_status``)."""
+        return _exposed_status(self.n, self.d, self.circuit_masks, self._circuit(e))
 
     # -- the clique complex -----------------------------------------------
 

@@ -18,6 +18,7 @@ from .clutter import (
     MAX_VERTICES,
     Clutter,
     _check_size,
+    _exposed_status,
     all_d_subsets,
     clique_closure,
     d_subset_index,
@@ -26,6 +27,7 @@ from .clutter import (
     link_table,
     mask_vertices,
     toggle_circuit,
+    vertex_mask,
 )
 from .simplicial import SimplicialComplex
 
@@ -138,19 +140,23 @@ def _check_certificate_shape(data) -> None:
 
 
 def replay_erasure_sequence(n: int, d: int, circuits, require_proper: bool = False) -> ErasureCertificate:
-    """Build (and validate) a certificate from an explicit removal order."""
+    """Build (and validate) a certificate from an explicit removal order, running
+    ``_exposed_status``, the body of ``Clutter.exposed_status``, on the circuit masks left."""
     index = d_subset_index(n, d)
-    current = Clutter.complete(n, d)
+    _check_size(n, d)
+    present = set(d_subset_masks(n, d))
     steps = []
     for idx, e in enumerate(circuits, start=1):
         e = tuple(sorted(e))
-        status = current.exposed_status(e)
+        if e not in index or vertex_mask(e) not in present:
+            raise ValueError(f"{e} is not a circuit")
+        status = _exposed_status(n, d, present, e)
         if not status.exposed:
             raise ValueError(f"step {idx}: circuit {e} is not exposed at its removal time")
         if require_proper and not status.proper:
             raise ValueError(f"step {idx}: circuit {e} is exposed but not properly exposed")
         steps.append(RemovalStep(e, status.clique, n - len(status.clique), status.proper))
-        current = Clutter.from_index_mask(n, d, current.circuit_index_mask & ~(1 << index[e]))
+        present.discard(vertex_mask(e))
     return ErasureCertificate(n, d, tuple(steps))
 
 

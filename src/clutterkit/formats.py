@@ -6,7 +6,6 @@ skipped.  Parse errors carry the 1-based line number of the offender.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .clutter import Clutter
@@ -46,13 +45,18 @@ def _header(text: str, missing: str, arity: int, wrong: str):
     return lineno, header, lines[1:]
 
 
-@contextmanager
-def _reported_at(lineno: int):
-    """Turn a ``ValueError`` from the value's constructor into a ``FormatError`` at ``lineno``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+def _build(build, at: int, rows: list):
+    """``build`` of the parsed ``(lineno, row)`` pairs; its ``ValueError`` becomes
+    a ``FormatError``.  ``build([])`` at the header's line ``at`` and
+    ``build([row])`` at each row's line run first, so an error names the line
+    of the header or of the one row it is about; an error across rows names ``at``."""
+    parts = [(at, [])] + [(lineno, [row]) for lineno, row in rows] + [(at, [row for _, row in rows])]
+    for lineno, part in parts:
+        try:
+            value = build(part)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
+    return value
 
 
 def read_clutter(text: str) -> Clutter:
@@ -63,9 +67,8 @@ def read_clutter(text: str) -> Clutter:
         vs = _ints(body, lineno)
         if len(vs) != d:
             raise FormatError(f"circuit has {len(vs)} vertices, expected {d}", lineno)
-        circuits.append(tuple(vs))
-    with _reported_at(at):
-        return Clutter.from_circuits(n, d, circuits)
+        circuits.append((lineno, tuple(vs)))
+    return _build(lambda cs: Clutter.from_circuits(n, d, cs), at, circuits)
 
 
 def write_clutter(clutter: Clutter) -> str:
@@ -85,9 +88,8 @@ def read_ideal(text: str) -> SquarefreeIdeal:
         vs = _ints(body, lineno)
         if not vs:
             raise FormatError("empty monomial", lineno)
-        supports.append(tuple(vs))
-    with _reported_at(at):
-        return SquarefreeIdeal.from_supports(n, supports)
+        supports.append((lineno, tuple(vs)))
+    return _build(lambda ss: SquarefreeIdeal.from_supports(n, ss), at, supports)
 
 
 def write_ideal(ideal: SquarefreeIdeal) -> str:
@@ -103,12 +105,11 @@ def read_complex(text: str) -> tuple[SimplicialComplex, list[tuple[int, ...]]]:
     verification consumes the listed order).
     """
     at, (n,), rows = _header(text, "`n`", 1, "header must be a single vertex count `n`")
-    facets = []
-    for lineno, body in rows:
-        facets.append(() if body == "-" else tuple(sorted(_ints(body, lineno))))
-    with _reported_at(at):
-        complex_ = SimplicialComplex(n, tuple(sorted(set(facets), key=lambda f: (len(f), f))))
-    return complex_, facets
+    facets = [(lineno, () if body == "-" else tuple(sorted(_ints(body, lineno)))) for lineno, body in rows]
+    complex_ = _build(
+        lambda fs: SimplicialComplex(n, tuple(sorted(set(fs), key=lambda f: (len(f), f)))), at, facets
+    )
+    return complex_, [f for _, f in facets]
 
 
 def write_complex(complex_: SimplicialComplex) -> str:
@@ -138,9 +139,8 @@ def read_weighted_graph(text: str) -> WeightedGraph:
         at_line, weight = first.setdefault(edge, (lineno, w))
         if weight != w:  # an equal repeat is one edge, as in read_clutter
             raise FormatError(f"edge {edge} has weight {w}, but {weight} on line {at_line}", lineno)
-        edges.append((u, v, w))
-    with _reported_at(at):
-        return WeightedGraph.from_edges(n, edges)
+        edges.append((lineno, (u, v, w)))
+    return _build(lambda es: WeightedGraph.from_edges(n, es), at, edges)
 
 
 def write_weighted_graph(weighted: WeightedGraph) -> str:

@@ -7,6 +7,9 @@ Ranks are exact: GF(2) uses bit-packed elimination, the rational field
 uses fraction-free (Bareiss) integer elimination.  Induced-subcomplex
 homology is memoized globally, keyed by the labeled induced subclutter, so
 exhaustive sweeps over many clutters on the same vertex set share work.
+The memo holds only the nonzero dimensions, as ``(k, dim)`` pairs, each
+distinct pair one shared object; most induced subcomplexes are acyclic and
+store ``()``.
 """
 
 from __future__ import annotations
@@ -169,18 +172,17 @@ def _within_table(n: int, d: int) -> list[int]:
                 table[s] |= table[s ^ bit]
     return table
 
-_homology_cache: dict[tuple, tuple[int, ...]] = {}
+_homology_cache: dict[tuple, tuple[tuple[int, int], ...]] = {}
+_pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per distinct (k, dim), shared by the memo
 
 
-def _induced_clique_homology(n: int, d: int, smask: int, cmask: int, fld: str) -> tuple[int, ...]:
-    """Reduced homology of the clique complex of the induced subclutter.
+def _induced_clique_homology(n: int, d: int, fld: str, smask: int, cmask: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero ``(k, dim H~_{k-1})`` pairs of the clique complex of the
+    induced subclutter.
 
-    `smask` selects the vertex set, `cmask` the circuit indices inside it.
+    `smask` selects the vertex set, `cmask` the circuit indices inside it;
+    the arguments are the ``_homology_cache`` key.
     """
-    key = (n, d, fld, smask, cmask)
-    cached = _homology_cache.get(key)
-    if cached is not None:
-        return cached
     within = _within_table(n, d)
     nverts = smask.bit_count()
     levels: list[list[int]] = [[] for _ in range(nverts + 1)]
@@ -197,8 +199,7 @@ def _induced_clique_homology(n: int, d: int, smask: int, cmask: int, fld: str) -
     for level in levels:
         level.sort()
     dims = _homology_from_levels(levels, fld)
-    _homology_cache[key] = dims
-    return dims
+    return tuple(_pairs.setdefault(pair, pair) for pair in enumerate(dims) if pair[1])
 
 
 # -- Betti tables ------------------------------------------------------------
@@ -295,12 +296,14 @@ def hochster_betti_table(clutter: Clutter, field: str = "gf2") -> BettiTable:
     cmask_full = clutter.circuit_index_mask
     entries: dict[tuple[int, int], int] = {}
     for smask in range(1, 1 << n):
-        j = smask.bit_count()
-        dims = _induced_clique_homology(n, d, smask, cmask_full & within[smask], fld)
-        for k in range(len(dims)):
-            h = dims[k]
+        key = (n, d, fld, smask, cmask_full & within[smask])
+        nonzero = _homology_cache.get(key)
+        if nonzero is None:
+            nonzero = _homology_cache[key] = _induced_clique_homology(*key)
+        for k, h in nonzero:
+            j = smask.bit_count()
             i = j - k - 1  # homology degree (k-1) gives i = j - (k-1) - 2
-            if h and i >= 0:
+            if i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h
     return BettiTable(entries=entries)
 

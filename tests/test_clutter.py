@@ -5,6 +5,7 @@ import pytest
 from clutterkit.clutter import (
     Clutter,
     SizeGuardError,
+    _is_clique,
     all_d_subsets,
     d_subset_masks,
     exposed_clique,
@@ -51,13 +52,36 @@ def test_validation_rejects_bad_circuits():
         Clutter(80, 2, ())
 
 
+# ``e in clutter`` for odd input, recorded before membership read a set
+# built once per clutter: the vertices are sorted, anything else is False
+CONTAINS = [
+    ((1, 2), True),
+    ((2, 1), True),
+    ([5, 2], True),
+    ((1, 1), False),
+    ((2, 2, 5), False),
+    ((1,), False),
+    ((1, 2, 5), False),
+    ((), False),
+    ((0, 1), False),
+    ((1, 6), False),
+    ((-1, 2), False),
+    ((1, 3), False),
+]
+
+
+@pytest.mark.parametrize("e, inside", CONTAINS)
+def test_contains_sorts_and_refuses_odd_input(tailed_triangle, e, inside):
+    trusted = Clutter.from_index_mask(5, 2, tailed_triangle.circuit_index_mask)
+    for clutter in (tailed_triangle, trusted, trusted):  # the second asks again
+        assert (e in clutter) is inside
+
+
 def test_is_clique_complete_and_removed(bipyramid):
-    assert Clutter.complete(5, 3).is_clique((1, 2, 3, 4, 5))
-    assert not bipyramid.is_clique((1, 3, 4, 5))
-    assert bipyramid.is_clique((2, 3, 4, 5))
-    assert bipyramid.is_clique((1,))  # below circuit size
-    with pytest.raises(ValueError):
-        bipyramid.is_clique(())
+    assert _is_clique(3, Clutter.complete(5, 3).circuit_masks, (1, 2, 3, 4, 5))
+    assert not _is_clique(3, bipyramid.circuit_masks, (1, 3, 4, 5))
+    assert _is_clique(3, bipyramid.circuit_masks, (2, 3, 4, 5))
+    assert _is_clique(3, bipyramid.circuit_masks, (1,))  # below circuit size
 
 
 def test_maximal_cliques_containing():
@@ -126,7 +150,7 @@ def test_clique_complex_has_full_low_skeleton():
 
 def test_degree_one_clutters():
     points = Clutter.from_circuits(4, 1, [(2,), (3,)])
-    assert points.is_clique((2, 3))
+    assert _is_clique(1, points.circuit_masks, (2, 3))
     status = points.exposed_status((2,))
     assert status.exposed and status.clique == (2, 3) and status.proper
     empty = Clutter.empty(3, 1)

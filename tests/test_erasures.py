@@ -1,12 +1,22 @@
 import json
+import random
 from math import comb
 
 import pytest
 
 from clutterkit import erasures, search
-from clutterkit.clutter import Clutter, all_d_subsets, d_subset_masks, link_table, mask_vertices, toggle_circuit
+from clutterkit.clutter import (
+    Clutter,
+    all_d_subsets,
+    d_subset_index,
+    d_subset_masks,
+    link_table,
+    mask_vertices,
+    toggle_circuit,
+)
 from clutterkit.erasures import (
     ErasureCertificate,
+    RemovalStep,
     betti_from_erasures,
     erasure_reachable_set,
     find_erasure_sequence,
@@ -54,6 +64,68 @@ def test_replay_validates_the_documented_sequence():
         replay_erasure_sequence(5, 3, [(1, 2, 5), (1, 3, 5), (1, 4, 5)], require_proper=True)
     with pytest.raises(ValueError):
         replay_erasure_sequence(5, 3, [(1, 2, 5), (2, 3, 4)])  # 234 not exposed after 125
+
+
+def per_step_replay(n, d, circuits, require_proper=False):
+    """The replay as a loop over a fresh ``Clutter`` per step, asking
+    ``Clutter.exposed_status`` at each: the reference for the replay."""
+    index = d_subset_index(n, d)
+    current = Clutter.complete(n, d)
+    steps = []
+    for idx, e in enumerate(circuits, start=1):
+        e = tuple(sorted(e))
+        status = current.exposed_status(e)
+        if not status.exposed:
+            raise ValueError(f"step {idx}: circuit {e} is not exposed at its removal time")
+        if require_proper and not status.proper:
+            raise ValueError(f"step {idx}: circuit {e} is exposed but not properly exposed")
+        steps.append(RemovalStep(e, status.clique, n - len(status.clique), status.proper))
+        current = Clutter.from_index_mask(n, d, current.circuit_index_mask & ~(1 << index[e]))
+    return ErasureCertificate(n, d, tuple(steps))
+
+
+def _replayed(replay, n, d, order, require_proper):
+    """The certificate, or the message of the ``ValueError`` the replay raised."""
+    try:
+        return replay(n, d, order, require_proper)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _seeded_orders(n, d, rng):
+    """Random exposed walks (each step erasable by the reference, some only
+    improperly) and random shuffles, which mostly fail part way."""
+    pool = list(all_d_subsets(n, d))
+    for _ in range(12):
+        current, order = Clutter.complete(n, d), []
+        while True:
+            exposed = [e for e in current.circuits if current.exposed_status(e).exposed]
+            if not exposed or rng.random() < 0.1:
+                break
+            order.append(rng.choice(exposed))
+            current = current.without(order[-1])
+        yield order
+    for _ in range(8):
+        yield rng.sample(pool, rng.randint(1, len(pool)))
+
+
+def test_replay_matches_the_per_step_clutter_replay():
+    for n, d in [(4, 1), (5, 2), (5, 3), (6, 3), (6, 4)]:
+        rng = random.Random(2200 + 10 * n + d)
+        for order in _seeded_orders(n, d, rng):
+            for proper in (False, True):
+                expect = _replayed(per_step_replay, n, d, order, proper)
+                assert _replayed(replay_erasure_sequence, n, d, order, proper) == expect
+    bad = [
+        (5, 2, [(0, 1)], "(0, 1) is not a circuit"),
+        (5, 2, [(1, 2), (2, 1)], "(1, 2) is not a circuit"),
+        (5, 2, [(1, 2, 3)], "(1, 2, 3) is not a circuit"),
+        (5, 3, [(1, 2, 5), (2, 3, 4)], "step 2: circuit (2, 3, 4) is not exposed at its removal time"),
+        (5, 3, [(1, 2, 5), (1, 3, 5), (1, 4, 5)], "step 3: circuit (1, 4, 5) is exposed but not properly exposed"),
+    ]
+    for n, d, order, message in bad:
+        assert _replayed(per_step_replay, n, d, order, True) == message
+        assert _replayed(replay_erasure_sequence, n, d, order, True) == message
 
 
 def test_certificate_json_round_trip(tailed_triangle):

@@ -74,8 +74,10 @@ def test_weighted_graph_accepts_an_equal_repeated_edge():
 
 # Every FormatError message and line, recorded before the four readers shared
 # one header parser: for each reader, the missing header, a wrong header, a
-# bad row and an error from the constructor of the value (reported at the header).
-# The last row, an edge repeated with another weight, came later.
+# bad row and an error from the constructor of the value.  A constructor's
+# error about one row was reported at the header's line until each row was
+# checked alone; those rows were moved to the row's line on purpose.  The
+# rows after the edge repeated with another weight came with that move.
 FORMAT_ERRORS = [
     ("read_clutter", "", "line 1: missing `n d` header"),
     ("read_clutter", "# only a comment\n\n", "line 1: missing `n d` header"),
@@ -83,26 +85,36 @@ FORMAT_ERRORS = [
     ("read_clutter", "# c\n4 x\n", "line 2: expected integers, got '4 x'"),
     ("read_clutter", "4 2\n1 2 3\n", "line 2: circuit has 3 vertices, expected 2"),
     ("read_clutter", "4 2\n1 x\n", "line 2: expected integers, got '1 x'"),
-    ("read_clutter", "# c\n4 2\n1 2\n1 5\n", "line 2: circuit (1, 5) out of range 1..4"),
+    ("read_clutter", "# c\n4 2\n1 2\n1 5\n", "line 4: circuit (1, 5) out of range 1..4"),
     ("read_clutter", "0 0\n", "line 1: need 1 <= d <= n, got d=0, n=0"),
     ("read_ideal", "", "line 1: missing `n` header"),
     ("read_ideal", "\n4 2\n", "line 2: header must be a single variable count `n`"),
     ("read_ideal", "4\n1 2\n\n-\n", "line 4: expected integers, got '-'"),
     ("read_ideal", "4\n1 x\n", "line 2: expected integers, got '1 x'"),
-    ("read_ideal", "# c\n4\n1 5\n", "line 2: generator x1*x5 uses variables beyond x4"),
+    ("read_ideal", "# c\n4\n1 5\n", "line 3: generator x1*x5 uses variables beyond x4"),
     ("read_complex", "", "line 1: missing `n` header"),
     ("read_complex", "5 2\n", "line 1: header must be a single vertex count `n`"),
     ("read_complex", "5\n1 2\n1 y\n", "line 3: expected integers, got '1 y'"),
-    ("read_complex", "3\n1 4\n", "line 1: facet (1, 4) out of range 1..3"),
-    ("read_complex", "\n\n3\n1 1\n", "line 3: facet (1, 1) is not a sorted duplicate-free tuple"),
+    ("read_complex", "3\n1 4\n", "line 2: facet (1, 4) out of range 1..3"),
+    ("read_complex", "\n\n3\n1 1\n", "line 4: facet (1, 1) is not a sorted duplicate-free tuple"),
     ("read_weighted_graph", "", "line 1: missing `n d` header"),
     ("read_weighted_graph", "3 3\n", "line 1: weighted graphs need header `n 2`"),
     ("read_weighted_graph", "# c\n3\n", "line 2: weighted graphs need header `n 2`"),
     ("read_weighted_graph", "3 2\n1 2\n", "line 2: edge lines are `u v weight`"),
     ("read_weighted_graph", "3 2\n1 2 x\n", "line 2: bad edge line '1 2 x'"),
     ("read_weighted_graph", "3 2\n1 2 1/0\n", "line 2: bad edge line '1 2 1/0'"),
-    ("read_weighted_graph", "# c\n3 2\n1 4 1\n", "line 2: circuit (1, 4) out of range 1..3"),
+    ("read_weighted_graph", "# c\n3 2\n1 4 1\n", "line 3: circuit (1, 4) out of range 1..3"),
     ("read_weighted_graph", "3 2\n1 2 1\n2 1 3\n2 3 5\n", "line 3: edge (1, 2) has weight 3, but 1 on line 2"),
+    # a row's constructor error names the row (at the header's line before)
+    ("read_clutter", "4 2\n1 1\n", "line 2: circuit (1, 1) is not a 2-subset"),
+    ("read_ideal", "4\n1 2\n0 1\n", "line 3: variable indices are 1-based"),
+    ("read_complex", "3\n1 2\n2 4\n", "line 3: facet (2, 4) out of range 1..3"),
+    ("read_weighted_graph", "3 2\n1 1 5\n", "line 2: circuit (1, 1) is not a 2-subset"),
+    # a header or cross-row error still names the header; a bad row's parse error comes first
+    ("read_clutter", "2 3\n1 2 3\n", "line 1: need 1 <= d <= n, got d=3, n=2"),
+    ("read_clutter", "0 0\n1 x\n", "line 2: expected integers, got '1 x'"),
+    ("read_complex", "3\n1 2\n1\n", "line 1: facets must be pairwise incomparable"),
+    ("read_weighted_graph", "1 2\n1 2 1\n", "line 1: need 1 <= d <= n, got d=2, n=1"),
 ]
 
 

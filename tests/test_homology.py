@@ -216,3 +216,51 @@ def test_degree_one_clutters_match_variable_ideals():
             assert table.betti_numbers() == expected
             cert = find_erasure_sequence(clutter)
             assert betti_from_erasures(cert) == expected
+
+
+def _induced_dims(j, d, inside):
+    """dim H~ over both fields of the clique complex, from ``max_cliques``,
+    of the clutter with circuits ``inside`` on vertices 1..j."""
+    complex_ = Clutter(j, d, inside).clique_complex()
+    return {field: reduced_homology_dims(complex_, field) for field in ("gf2", "rational")}
+
+
+def _induced_sum_betti(clutter, induced):
+    """Hochster's sum over both fields without the homology cache: the
+    reduced homology of each induced subclutter, relabeled onto 1..|W|, over
+    every vertex set W.  ``induced`` memoizes ``_induced_dims`` for this test."""
+    n, d = clutter.n, clutter.d
+    entries = {"gf2": {}, "rational": {}}
+    for j in range(d, n + 1):  # a W with fewer than d vertices spans a simplex
+        for w in itertools.combinations(range(1, n + 1), j):
+            label = {v: i for i, v in enumerate(w, start=1)}
+            inside = tuple(tuple(label[v] for v in e) for e in clutter.circuits if set(e) <= set(w))
+            key = (j, d, inside)
+            if key not in induced:
+                induced[key] = _induced_dims(*key)
+            for field, dims in induced[key].items():
+                for k, h in dims.items():
+                    i = j - k - 2
+                    if h and i >= 0:
+                        entries[field][(i, j)] = entries[field].get((i, j), 0) + h
+    return entries
+
+
+def test_hochster_matches_uncached_induced_homology():
+    from clutterkit import homology
+
+    rng = random.Random(2201)
+    clutters = [
+        Clutter.from_circuits(5, 2, [e for i, e in enumerate(all_d_subsets(5, 2)) if mask >> i & 1])
+        for mask in range(1 << 10)
+    ]
+    for (n, d), count in ((5, 3), 12), ((6, 3), 12):
+        pool = all_d_subsets(n, d)
+        clutters += [Clutter.from_circuits(n, d, [e for e in pool if rng.random() < 0.7]) for _ in range(count)]
+    induced = {}
+    expect = [(c, _induced_sum_betti(c, induced)) for c in clutters]
+    homology._homology_cache.clear()
+    for warm in (False, True):
+        for clutter, tables in expect:
+            for field, entries in tables.items():
+                assert hochster_betti_table(clutter, field).entries == entries, (clutter, field, warm)
