@@ -207,14 +207,18 @@ def find_erasure_sequence(
     circuit's ridges, each ridge's circuits) depend only on (n, d) and are
     cached (``_complete_tables``).
 
-    With ``require_proper`` the backtracking search also refuses a removal
-    that leaves a circuit still to be removed with Q empty (the child is
-    *starved*).  It reads the kept Q: the child is starved iff some f on a
-    ridge s of e has Q(f) = {x}, x = e - s, before the move.  Q only
-    shrinks as circuits go, so such an f is never properly exposed after
-    it: a starved child is dead, and refusing it leaves the order returned
-    the same.  ``greedy_only`` keeps its meaning, the first properly
-    exposed circuit, so it does not refuse.
+    A "no" is also sought from the target's end (``search.find``'s
+    ``backward``): a walk from the target that puts removed circuits back,
+    each one exposed (properly, with ``require_proper``) once it is back.
+    Circuit f is exposed in S+f iff ``_erasable`` accepts it on S's link
+    table, without f: ``extensions`` masks out f's own vertices, and
+    ``clique_closure`` reads only the rows of (d-1)-subsets not inside f.
+    So that walk's move test depends on the set put back alone, and it has
+    an order iff the forward search has.  On a sparse target it often dies
+    within a few states, where the forward search backtracks through
+    thousands.  It is a generator, so its table is built only once the
+    forward search first backs out of a dead state, which ``greedy_only``
+    never does.
     """
     n, d = target.n, target.d
     masks = d_subset_masks(n, d)
@@ -254,23 +258,23 @@ def find_erasure_sequence(
             q[f] = old
         del undo[mark:]
 
-    starve = require_proper and not greedy_only
-
     def ok(i: int) -> bool:
         j = rem[i]
         e = masks[j]
         clique = clique_closure(link, e, q[j])
-        if clique is None or require_proper and clique == e:
-            return False
-        if starve:
-            for s in ridges[j]:
-                x = e ^ s
-                for f in on_ridge[s]:
-                    if q[f] == x:
-                        return False
-        return True
+        return clique is not None and not (require_proper and clique == e)
 
-    chosen = search.find(len(rem), ok, push, pop, greedy_only)
+    def backward():
+        back = link_table(n, d, target.circuit_index_mask)
+        adds = [masks[j] for j in rem]
+
+        def toggle(i: int) -> None:
+            toggle_circuit(back, adds[i])
+
+        erasable = _erasable(back, adds, require_proper)
+        return (yield from search.walk(len(rem), erasable, toggle, toggle, False))
+
+    chosen = search.find(len(rem), ok, push, pop, greedy_only, backward())
     if chosen is None:
         return None
     subsets = all_d_subsets(n, d)

@@ -243,7 +243,9 @@ def _components(masks: tuple[int, ...]) -> list[int]:
     unseen = (1 << k) - 1
     comps = []
     while unseen:
-        comp = _reach(masks, (unseen & -unseen).bit_length() - 1)
+        low = unseen & -unseen
+        v = low.bit_length() - 1
+        comp = _reach(masks, v) if masks[v] else low  # an isolated vertex is its own component
         comps.append(comp)
         unseen &= ~comp
     return comps

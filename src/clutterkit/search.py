@@ -2,10 +2,18 @@
 
 Each search makes moves 0..total-1 one at a time (erase a circuit, add a
 generator, add a facet, delete a ridge), and whether a move may be made
-depends only on the set of moves already made, never on their order.  A state is that set as a bitmask.  So a breadth-first
-closure meets every reachable set exactly once, and a state with no
-complete continuation is dead whichever order reached it, which makes a
-dead-set memo sound.
+depends only on the set of moves already made, never on their order.  A
+state is that set as a bitmask.  So a breadth-first closure meets every
+reachable set exactly once, and a state with no complete continuation is
+dead whichever order reached it, which makes a dead-set memo sound.
+
+The same fact lets a search run from its far end.  Let undoing move i be
+allowed out of a set T that holds i iff move i is allowed out of T - i.
+That is again a test on the set alone, so the undos form a search of the
+same kind, from the full set down, with its own sound dead-set memo, and
+an order of all moves read backwards is an order of all undos.  So the
+backward walk has an order iff the forward walk has; ``find`` uses it only
+to stop a forward "no" early.
 
 Callers keep their own move tests (the exposure and colon kernels), so the
 clutter-side and ideal-side searches still check each other.
@@ -13,7 +21,7 @@ clutter-side and ideal-side searches still check each other.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Generator
 
 from .clutter import SizeGuardError
 
@@ -93,16 +101,17 @@ def path(last: dict[int, int], state: int) -> list[int]:
     return moves
 
 
-def find(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
-         pop: Callable[[int], None], greedy_only: bool = False) -> list[int] | None:
-    """Depth-first search for an order of all ``total`` moves, or None.
+def walk(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
+         pop: Callable[[int], None], greedy_only: bool) -> Generator[None, None, list[int] | None]:
+    """Depth-first search for an order of all ``total`` moves, as a generator.
 
     ``ok(i)`` tests move i in the caller's context for the current state;
     ``push(i)`` makes the move in that context and ``pop(i)`` undoes it.
     Moves not yet made are tried lowest index first, and a child known dead
-    is skipped before ``ok`` is called for it.  With ``greedy_only`` the
-    search follows the first accepted move at each state and fails as soon
-    as that chain does.
+    is skipped before ``ok`` is called for it.  The walk yields once at each
+    dead state it backs out of, and returns the order found or None.  With
+    ``greedy_only`` it follows the first accepted move at each state and
+    returns None, without yielding, as soon as that chain fails.
     """
     full = (1 << total) - 1
     dead: set[int] = set()
@@ -124,6 +133,7 @@ def find(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
             if not chosen or greedy_only:
                 return None
             dead.add(state)
+            yield
             i = chosen.pop()
             pop(i)
             state ^= 1 << i
@@ -134,3 +144,31 @@ def find(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
         state |= bit
         start = 0
     return chosen
+
+
+def find(total: int, ok: Callable[[int], bool], push: Callable[[int], None],
+         pop: Callable[[int], None], greedy_only: bool = False,
+         backward: Generator[None, None, list[int] | None] | None = None) -> list[int] | None:
+    """The order ``walk`` finds, or None.
+
+    ``backward`` is a second walk that has an order iff this one has: the
+    same search run from the full set down, its moves the undos of these
+    (see the module docstring).  It is advanced to its next dead state after
+    each forward dead state.  If it ends with None, no order exists and
+    ``find`` returns None at once; if it ends with an order, one exists, so
+    it is dropped and the forward walk runs on alone.  The order returned
+    is always the forward walk's.
+    """
+    forward = walk(total, ok, push, pop, greedy_only)
+    while True:
+        try:
+            next(forward)
+        except StopIteration as done:
+            return done.value
+        if backward is not None:
+            try:
+                next(backward)
+            except StopIteration as done:
+                if done.value is None:
+                    return None
+                backward = None

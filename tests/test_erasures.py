@@ -7,12 +7,14 @@ import pytest
 from clutterkit import erasures, search
 from clutterkit.clutter import (
     Clutter,
+    _exposed_status,
     all_d_subsets,
     d_subset_index,
     d_subset_masks,
     link_table,
     mask_vertices,
     toggle_circuit,
+    vertex_mask,
 )
 from clutterkit.erasures import (
     ErasureCertificate,
@@ -288,7 +290,7 @@ def test_ridge_chordal_and_erasure_verdicts_ignore_vertex_labels():
 
 def reference_order(target, require_proper=False, greedy_only=False):
     """The removal order found by ``search.find`` with ``_erasable`` on a plain
-    link table: no starvation pruning, and Q recomputed at every move test."""
+    link table: no backward walk, and Q recomputed at every move test."""
     n, d = target.n, target.d
     full = (1 << comb(n, d)) - 1
     gone = full ^ target.circuit_index_mask
@@ -301,6 +303,25 @@ def reference_order(target, require_proper=False, greedy_only=False):
     ok = erasures._erasable(link, rem, require_proper)
     chosen = search.find(len(rem), ok, toggle, toggle, greedy_only)
     return None if chosen is None else [mask_vertices(rem[i]) for i in chosen]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_circuit_put_back_is_tested_on_the_table_without_it(d):
+    # the backward walk's move: f is (properly) exposed in S+f iff
+    # _erasable accepts it on the link table of S, which lacks f
+    masks = d_subset_masks(5, d)
+    subsets = all_d_subsets(5, d)
+    for state in range(1 << len(masks)):
+        present = {masks[j] for j in range(len(masks)) if state >> j & 1}
+        link = link_table(5, d, state)
+        tests = [erasures._erasable(link, masks, proper) for proper in (False, True)]
+        for j in range(len(masks)):
+            if state >> j & 1:
+                status = _exposed_status(5, d, present, subsets[j])
+                clique = vertex_mask(status.clique) if status.exposed else 0
+                toggle_circuit(link, masks[j])
+                assert [test(j) for test in tests] == [clique, clique if status.proper else 0]
+                toggle_circuit(link, masks[j])
 
 
 def search_order(target, require_proper=False, greedy_only=False):

@@ -49,16 +49,28 @@ def walks(rule, start=0):
     return states, complete
 
 
-def run_find(rule, greedy_only=False):
+def flips(rule):
+    """The move test of ``rule`` in a context where move i flips bit i, and
+    the flip, which is both push and pop."""
     placed = [0]
 
-    def push(i):
-        placed[0] |= 1 << i
+    def flip(i):
+        placed[0] ^= 1 << i
 
-    def pop(i):
-        placed[0] &= ~(1 << i)
+    return (lambda i: rule(placed[0], i)), flip
 
-    return search.find(TOTAL, lambda i: rule(placed[0], i), push, pop, greedy_only)
+
+def run_find(rule, greedy_only=False, backward=None):
+    ok, flip = flips(rule)
+    return search.find(TOTAL, ok, flip, flip, greedy_only, backward)
+
+
+def reversed_walk(rule):
+    """The walk of the undos of ``rule``'s moves, from the full set: undoing
+    move i is allowed iff making it was allowed from the set without i."""
+    full = (1 << TOTAL) - 1
+    ok, flip = flips(lambda undone, i: rule(full ^ undone ^ 1 << i, i))
+    return search.walk(TOTAL, ok, flip, flip, False)
 
 
 def greedy_chain(rule):
@@ -126,6 +138,46 @@ def test_find_returns_least_order_and_greedy_never_beats_it(rule):
     assert greedy == greedy_chain(rule)
     if full is None:
         assert greedy is None
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_reversed_walk_leaves_every_answer_the_same(rule):
+    # the backward walk has an order iff the forward one has, and find
+    # returns the forward walk's order whichever ends first
+    assert run_find(rule, backward=reversed_walk(rule)) == run_find(rule)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_backward_no_stops_find_at_its_first_dead_state(rule):
+    def counted(calls):
+        ok, flip = flips(rule)
+        return (lambda i: calls.append(i) or ok(i)), flip
+
+    before = []
+    ok, flip = counted(before)
+    try:
+        next(search.walk(TOTAL, ok, flip, flip, False))  # to the first dead state it backs out of
+        answer = None
+    except StopIteration as done:
+        answer = done.value  # it ended without backing out of one
+
+    def no():
+        return None
+        yield
+
+    calls = []
+    ok, flip = counted(calls)
+    assert search.find(TOTAL, ok, flip, flip, False, no()) == answer
+    assert calls == before
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_greedy_only_never_advances_the_backward_walk(rule):
+    def untouched():
+        raise AssertionError("greedy_only advanced the backward walk")
+        yield
+
+    assert run_find(rule, True, untouched()) == greedy_chain(rule)
 
 
 @pytest.mark.parametrize("rule", RULES)
