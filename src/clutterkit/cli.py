@@ -4,7 +4,8 @@ Every command produces a JSON report; ``--out`` writes it to a file and
 keeps stdout for human-readable text, otherwise the report is printed to
 stdout after any tables.  Exit codes: 0 when the query succeeds or the
 checked property holds, 1 when a property fails (the report carries a
-witness), 2 for usage, parse, and size-guard errors.
+witness), 2 for usage, parse, and size-guard errors.  Each handler imports
+the modules it runs, so a command loads no kernel it does not use.
 """
 
 from __future__ import annotations
@@ -13,37 +14,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import formats, suites
+from . import formats
 from .clutter import SizeGuardError
-from .erasures import (
-    CertificateShapeError,
-    ErasureCertificate,
-    betti_from_erasures,
-    find_erasure_sequence,
-)
-from .graphs import (
-    chromatic_polynomial_dc,
-    chromatic_polynomial_product,
-    is_chordal_classic,
-    kruskal_mst,
-    mst_by_erasures,
-    perfect_elimination_ordering,
-    properly_exposed_subgraph,
-)
-from .homology import FIELDS, hochster_betti_table
-from .ideals import (
-    colon_by_monomial,
-    find_quotient_order,
-    monomial,
-    verify_quotient_order,
-)
-from .shelling import (
-    erasures_to_shelling,
-    is_extendably_shellable,
-    verify_shelling,
-)
-from .simplicial import alexander_dual
+from .homology import FIELDS
+
+if TYPE_CHECKING:
+    from .erasures import ErasureCertificate
 
 
 def _read(path: str) -> str:
@@ -70,6 +48,8 @@ def _emit(report: dict, human: list[str], out: str | None) -> None:
 
 
 def _load_certificate(path: str) -> ErasureCertificate:
+    from .erasures import ErasureCertificate
+
     data = json.loads(_read(path))
     return ErasureCertificate.from_json_dict(data)
 
@@ -102,6 +82,8 @@ def _cmd_exposed(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_erasures_find(args) -> tuple[int, dict, list[str]]:
+    from .erasures import find_erasure_sequence
+
     clutter = formats.read_clutter(_read(args.input))
     cert = find_erasure_sequence(clutter, args.require_proper, args.greedy_only)
     if cert is None:
@@ -121,6 +103,8 @@ def _cmd_erasures_find(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_erasures_verify(args) -> tuple[int, dict, list[str]]:
+    from .erasures import CertificateShapeError
+
     try:
         cert = _load_certificate(args.certificate)
     except (CertificateShapeError, SizeGuardError):
@@ -133,6 +117,8 @@ def _cmd_erasures_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_erasures_betti(args) -> tuple[int, dict, list[str]]:
+    from .erasures import betti_from_erasures
+
     cert = _load_certificate(args.certificate)
     report = {
         "command": "erasures-betti",
@@ -143,6 +129,8 @@ def _cmd_erasures_betti(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_ideal_colon(args) -> tuple[int, dict, list[str]]:
+    from .ideals import colon_by_monomial, monomial
+
     ideal = formats.read_ideal(_read(args.input))
     col = colon_by_monomial(ideal, monomial(_circuit_arg(args.monomial)))
     report = {
@@ -155,6 +143,8 @@ def _cmd_ideal_colon(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_ideal_quotients(args) -> tuple[int, dict, list[str]]:
+    from .ideals import find_quotient_order, verify_quotient_order
+
     ideal = formats.read_ideal(_read(args.input))
     if args.find:
         found = find_quotient_order(ideal, greedy_only=args.greedy_only)
@@ -179,6 +169,8 @@ def _cmd_ideal_quotients(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_betti_hochster(args) -> tuple[int, dict, list[str]]:
+    from .homology import hochster_betti_table
+
     clutter = formats.read_clutter(_read(args.input))
     table = hochster_betti_table(clutter, args.field)
     report = {
@@ -190,6 +182,8 @@ def _cmd_betti_hochster(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_betti_formula(args) -> tuple[int, dict, list[str]]:
+    from .erasures import betti_from_erasures, find_erasure_sequence
+
     clutter = formats.read_clutter(_read(args.input))
     cert = find_erasure_sequence(clutter)
     if cert is None:
@@ -209,6 +203,9 @@ def _cmd_betti_formula(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_betti_compare(args) -> tuple[int, dict, list[str]]:
+    from .erasures import betti_from_erasures, find_erasure_sequence
+    from .homology import hochster_betti_table
+
     clutter = formats.read_clutter(_read(args.input))
     table = hochster_betti_table(clutter, args.field)
     cert = find_erasure_sequence(clutter)
@@ -227,6 +224,8 @@ def _cmd_betti_compare(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_shelling_verify(args) -> tuple[int, dict, list[str]]:
+    from .shelling import verify_shelling
+
     complex_, order = formats.read_complex(_read(args.input))
     rep = verify_shelling(complex_, order)
     report = {
@@ -239,6 +238,8 @@ def _cmd_shelling_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_shelling_dual(args) -> tuple[int, dict, list[str]]:
+    from .simplicial import alexander_dual
+
     complex_, _ = formats.read_complex(_read(args.input))
     dual = alexander_dual(complex_)
     report = {
@@ -250,6 +251,8 @@ def _cmd_shelling_dual(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_shelling_extendable(args) -> tuple[int, dict, list[str]]:
+    from .shelling import is_extendably_shellable
+
     complex_, _ = formats.read_complex(_read(args.input))
     result = is_extendably_shellable(complex_)
     report = {"command": "shelling-extendable", **result.to_json_dict()}
@@ -257,6 +260,8 @@ def _cmd_shelling_extendable(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_shelling_from_erasures(args) -> tuple[int, dict, list[str]]:
+    from .shelling import erasures_to_shelling
+
     cert = _load_certificate(args.certificate)
     shelling = erasures_to_shelling(cert)
     report = {
@@ -269,6 +274,9 @@ def _cmd_shelling_from_erasures(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_graph_chordal(args) -> tuple[int, dict, list[str]]:
+    from .erasures import find_erasure_sequence
+    from .graphs import is_chordal_classic, perfect_elimination_ordering
+
     graph = formats.read_clutter(_read(args.input))
     classic = is_chordal_classic(graph)
     erasure = find_erasure_sequence(graph) is not None
@@ -286,6 +294,8 @@ def _cmd_graph_chordal(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_graph_peo(args) -> tuple[int, dict, list[str]]:
+    from .graphs import perfect_elimination_ordering
+
     graph = formats.read_clutter(_read(args.input))
     peo = perfect_elimination_ordering(graph)
     if peo is None:
@@ -300,6 +310,8 @@ def _cmd_graph_peo(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_graph_chromatic(args) -> tuple[int, dict, list[str]]:
+    from .graphs import chromatic_polynomial_dc, chromatic_polynomial_product, perfect_elimination_ordering
+
     graph = formats.read_clutter(_read(args.input))
     chordal = perfect_elimination_ordering(graph) is not None
     oracle = chromatic_polynomial_dc(graph)
@@ -319,6 +331,8 @@ def _cmd_graph_chromatic(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_graph_mst(args) -> tuple[int, dict, list[str]]:
+    from .graphs import kruskal_mst, mst_by_erasures
+
     weighted = formats.read_weighted_graph(_read(args.input))
     edges, weight = mst_by_erasures(weighted)
     oracle_edges, oracle_weight = kruskal_mst(weighted)
@@ -334,6 +348,8 @@ def _cmd_graph_mst(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_graph_boundary(args) -> tuple[int, dict, list[str]]:
+    from .graphs import properly_exposed_subgraph
+
     graph = formats.read_clutter(_read(args.input))
     rep = properly_exposed_subgraph(graph)
     report = {
@@ -348,32 +364,39 @@ def _cmd_graph_boundary(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_probe(args) -> tuple[int, dict, list[str]]:
+    from . import suites
+
     probe = suites.probe_simon if args.kind == "simon" else suites.probe_ridge_chordal
     report = probe(args.n, args.d)
     return 0, report, [f"observations: {len(report['counterexamples'])} counterexample(s)"]
 
 
-# The ``suite exhaustive`` kinds and the call each makes.  ``skeleton`` is one
-# search in this process, so its ``--jobs`` is checked, not used.
+# The ``suite exhaustive`` kinds and the call each makes on the ``suites``
+# module.  ``skeleton`` is one search in this process, so its ``--jobs`` is
+# checked, not used.
 _EXHAUSTIVE = {
-    "froberg": lambda args: suites.froberg_suite(args.n, jobs=args.jobs),
-    "connectivity": lambda args: suites.connectivity_suite(args.n, jobs=args.jobs),
-    "clutter-erasure": lambda args: suites.clutter_erasure_suite(args.n, args.d, jobs=args.jobs),
-    "chromatic": lambda args: suites.chromatic_suite(args.n, jobs=args.jobs),
-    "boundary": lambda args: suites.boundary_suite(args.n, jobs=args.jobs),
-    "free-face": lambda args: suites.free_face_suite(args.n, args.d, jobs=args.jobs),
-    "skeleton": lambda args: suites.skeleton_extendability_suite(args.n),
-    "multiset": lambda args: suites.multiset_invariance_suite(args.n, args.d, jobs=args.jobs),
+    "froberg": lambda suites, args: suites.froberg_suite(args.n, jobs=args.jobs),
+    "connectivity": lambda suites, args: suites.connectivity_suite(args.n, jobs=args.jobs),
+    "clutter-erasure": lambda suites, args: suites.clutter_erasure_suite(args.n, args.d, jobs=args.jobs),
+    "chromatic": lambda suites, args: suites.chromatic_suite(args.n, jobs=args.jobs),
+    "boundary": lambda suites, args: suites.boundary_suite(args.n, jobs=args.jobs),
+    "free-face": lambda suites, args: suites.free_face_suite(args.n, args.d, jobs=args.jobs),
+    "skeleton": lambda suites, args: suites.skeleton_extendability_suite(args.n),
+    "multiset": lambda suites, args: suites.multiset_invariance_suite(args.n, args.d, jobs=args.jobs),
 }
 
 
 def _cmd_suite_exhaustive(args) -> tuple[int, dict, list[str]]:
+    from . import suites
+
     suites._check_jobs(args.jobs)
-    report = _EXHAUSTIVE[args.what](args)
+    report = _EXHAUSTIVE[args.what](suites, args)
     return (0 if report["ok"] else 1), report, [f"{args.what}: {'ok' if report['ok'] else 'FAILED'}"]
 
 
 def _cmd_suite_random(args) -> tuple[int, dict, list[str]]:
+    from . import suites
+
     report = suites.mst_suite(args.count, args.max_n, args.seed)
     return (0 if report["ok"] else 1), report, [
         f"mst random suite: {'ok' if report['ok'] else 'FAILED'}"

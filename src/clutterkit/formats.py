@@ -2,16 +2,19 @@
 
 All formats are line based; ``#`` starts a comment and blank lines are
 skipped.  Parse errors carry the 1-based line number of the offender.
+The ideal and weighted-graph readers import their kernels when called.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .clutter import Clutter
-from .graphs import WeightedGraph
-from .ideals import SquarefreeIdeal
 from .simplicial import SimplicialComplex
+
+if TYPE_CHECKING:
+    from .graphs import WeightedGraph
+    from .ideals import SquarefreeIdeal
 
 
 class FormatError(ValueError):
@@ -82,6 +85,8 @@ def read_ideal(text: str) -> SquarefreeIdeal:
 
     The line order is kept: it is the candidate quotient order.
     """
+    from .ideals import SquarefreeIdeal
+
     at, (n,), rows = _header(text, "`n`", 1, "header must be a single variable count `n`")
     supports = []
     for lineno, body in rows:
@@ -120,6 +125,10 @@ def write_complex(complex_: SimplicialComplex) -> str:
 
 def read_weighted_graph(text: str) -> WeightedGraph:
     """Clutter format with d = 2 and a trailing rational weight per edge line."""
+    from fractions import Fraction
+
+    from .graphs import WeightedGraph
+
     wrong = "weighted graphs need header `n 2`"
     at, (n, d), rows = _header(text, "`n d`", 2, wrong)
     if d != 2:

@@ -141,6 +141,13 @@ def _check_jobs(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+def _check_sizes(**sizes: int) -> None:
+    """Reject a negative size, before a suite does any work."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {name}={value}")
+
+
 def _sweep(report: dict, row, tasks, jobs: int) -> dict:
     """Run ``row(context, key)`` over the keys of every ``(context, keys)`` task.
 
@@ -191,6 +198,7 @@ def connectivity_suite(max_n: int, jobs: int = 1) -> dict:
     (A single vertex admits no 2-clutter, so n = 1 has nothing to check.)
     """
     jobs = _check_jobs(jobs)
+    _check_sizes(n=max_n)
     search.check_moves(max_n * (max_n - 1) // 2)
     report: dict = {"suite": "connectivity", "max_n": max_n, "checked": 0, "discrepancies": []}
     tasks = [(n, range(1 << (n * (n - 1) // 2))) for n in range(2, max_n + 1)]
@@ -283,6 +291,7 @@ def chromatic_suite(max_n: int, jobs: int = 1) -> dict:
     """Elimination-product chromatic polynomial vs deletion-contraction,
     over every chordal graph with at most max_n vertices."""
     jobs = _check_jobs(jobs)
+    _check_sizes(n=max_n)
     search.check_moves(max_n * (max_n - 1) // 2)
     report: dict = {"suite": "chromatic", "max_n": max_n, "checked": 0, "mismatches": []}
     # The context carries one deletion-contraction memo, shared by a chunk's graphs.
@@ -303,6 +312,7 @@ def boundary_suite(max_n: int, jobs: int = 1) -> dict:
     """Two-edge-connectivity of every properly-exposed subgraph component,
     over every chordal graph with at most max_n vertices."""
     jobs = _check_jobs(jobs)
+    _check_sizes(n=max_n)
     search.check_moves(max_n * (max_n - 1) // 2)
     report: dict = {"suite": "boundary", "max_n": max_n, "checked": 0, "failures": []}
     tasks = ((n, sorted(enumerate_chordal_graphs(n))) for n in range(2, max_n + 1))
@@ -326,6 +336,7 @@ def mst_suite(count: int, max_n: int, seed: int) -> dict:
     Weights are distinct integers, so the minimum spanning tree is unique
     and the edge sets must match exactly, not just the weights.
     """
+    _check_sizes(count=count, max_n=max_n)
     rng = random.Random(seed)
     report: dict = {
         "suite": "mst",

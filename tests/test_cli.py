@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import clutterkit
 from clutterkit.cli import main
 
 G5_TEXT = "5 2\n1 2\n2 5\n3 4\n3 5\n4 5\n"
@@ -347,6 +352,11 @@ BAD_INPUTS = {
     "negative-d": lambda tmp: ("probe", "ridge-chordal", "--n", "3", "--d", "-1"),
     "out-is-a-directory": lambda tmp: ("complement", write(tmp / "g.clut", G5_TEXT.encode()), "--out", str(tmp)),
     "edge-with-two-weights": lambda tmp: ("graph", "mst", write(tmp / "w.clut", b"3 2\n1 2 1\n2 1 3\n2 3 5\n")),
+    "negative-n-connectivity": lambda tmp: ("suite", "exhaustive", "connectivity", "--n", "-2"),
+    "negative-n-chromatic": lambda tmp: ("suite", "exhaustive", "chromatic", "--n", "-2"),
+    "negative-n-boundary": lambda tmp: ("suite", "exhaustive", "boundary", "--n", "-2"),
+    "negative-count": lambda tmp: ("suite", "random", "--count", "-1"),
+    "negative-max-n": lambda tmp: ("suite", "random", "--count", "0", "--max-n", "-2"),
 }
 
 
@@ -369,3 +379,60 @@ def test_unwritable_out_names_the_output_path(capsys, tmp_path):
     code, out, err = run(capsys, "complement", source, "--out", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("cannot write output: ") and str(tmp_path) in err
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The ``clutterkit`` modules, and ``fractions``, that a fresh interpreter
+    has loaded after running ``code``."""
+    probe = code + (
+        "\nimport sys\nprint(' '.join(m for m in sys.modules"
+        " if m == 'fractions' or m.split('.')[0] == 'clutterkit'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(clutterkit.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def modules(*names: str) -> set[str]:
+    return {f"clutterkit.{name}" for name in names}
+
+
+CLI_MODULES = {"clutterkit"} | modules("cli", "formats", "clutter", "simplicial", "homology")
+ERASURE_MODULES = CLI_MODULES | modules("erasures", "search")
+GRAPH_MODULES = ERASURE_MODULES | modules("graphs") | {"fractions"}
+SUITE_MODULES = GRAPH_MODULES | modules("suites", "ideals")
+
+# Each command of the cli benchmark, and two that run a suite: the argv, with
+# {graph}, {certificate} and {ideal} standing for input files, and the
+# modules the call loads.
+COMMAND_MODULES = {
+    "complement": (["complement", "{graph}"], CLI_MODULES),
+    "exposed": (["exposed", "{graph}", "--circuit", "3,4"], CLI_MODULES),
+    "erasures-find": (["erasures", "find", "{graph}"], ERASURE_MODULES),
+    "erasures-verify": (["erasures", "verify", "{certificate}"], ERASURE_MODULES),
+    "betti-compare": (["betti", "compare", "{graph}"], ERASURE_MODULES),
+    "ideal-quotients": (["ideal", "quotients", "{ideal}", "--find"], CLI_MODULES | modules("ideals", "search")),
+    "graph-chordal": (["graph", "chordal", "{graph}"], GRAPH_MODULES),
+    "graph-peo": (["graph", "peo", "{graph}"], GRAPH_MODULES),
+    "graph-chromatic": (["graph", "chromatic", "{graph}"], GRAPH_MODULES),
+    "graph-boundary": (["graph", "boundary", "{graph}"], GRAPH_MODULES),
+    "suite": (["suite", "exhaustive", "connectivity", "--n", "3"], SUITE_MODULES),
+    "probe": (["probe", "simon", "--n", "3"], SUITE_MODULES),
+}
+
+
+def test_importing_the_package_or_the_cli_loads_no_kernel():
+    assert loaded_modules("import clutterkit") == {"clutterkit"}
+    assert loaded_modules("import clutterkit.cli") == CLI_MODULES
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
+    argv, expected = COMMAND_MODULES[command]
+    files = {
+        "graph": write(tmp_path / "g5.clut", G5_TEXT.encode()),
+        "certificate": write(tmp_path / "cert.json", json.dumps(G5_CERTIFICATE).encode()),
+        "ideal": write(tmp_path / "ideal.txt", IDEAL_TEXT.encode()),
+    }
+    argv = [arg.format(**files) for arg in argv] + ["--out", str(tmp_path / "report.json")]
+    assert loaded_modules(f"from clutterkit.cli import main\nassert main({argv!r}) == 0") == expected

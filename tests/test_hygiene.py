@@ -6,11 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(
-    path
-    for path in (ROOT / "src" / "clutterkit").glob("*.py")
-    if path.name != "__init__.py"  # the package namespace re-exports by import
-) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "clutterkit").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

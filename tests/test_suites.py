@@ -246,3 +246,23 @@ def test_boundary_witness_reaches_the_report(monkeypatch):
     report = suites.boundary_suite(5)
     assert report["failures"] == [[4, bridged]]
     assert not report["ok"] and report["checked"] == 2 + 8 + 61 + 822
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("connectivity_suite", (-2,), "need n >= 0, got n=-2"),
+        ("chromatic_suite", (-2,), "need n >= 0, got n=-2"),
+        ("boundary_suite", (-2,), "need n >= 0, got n=-2"),
+        ("mst_suite", (-1, 8, 0), "need count >= 0, got count=-1"),
+        ("mst_suite", (0, -2, 0), "need max_n >= 0, got max_n=-2"),
+    ],
+)
+def test_negative_sizes_are_rejected_before_any_work(monkeypatch, name, args, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite started work before checking its sizes")
+
+    for kernel in ("_sweep", "enumerate_chordal_graphs", "random_connected_chordal"):
+        monkeypatch.setattr(suites, kernel, no_work)
+    with pytest.raises(ValueError, match=message):
+        getattr(suites, name)(*args)
