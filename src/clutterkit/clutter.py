@@ -6,9 +6,9 @@ as a sorted tuple.  Internally circuits double as bitmasks (bit v-1 for
 vertex v), which caps the supported vertex count at 64.
 
 The searches test exposure on a mutable *link table* (``link_table``,
-``toggle_circuit``, ``exposed_clique``).  ``exposed_clique`` is Q
-(``extensions``) followed by the clique test on e+Q (``clique_closure``); the
-erasure search caches Q per candidate and calls ``clique_closure`` alone.
+``toggle_circuit``, ``exposed_clique``).  ``exposed_clique`` is the one move
+test: it reads Q, the vertices extending e to a clique, off the table's rows
+for e's (d-1)-subsets, then tests whether e+Q is a clique.
 ``Clutter.exposed_status`` is the independent reference: its body,
 ``_exposed_status``, reads only a set of circuit masks, and certificate replay
 runs it on one such set that it updates step by step.
@@ -96,10 +96,21 @@ def toggle_circuit(link: dict[int, int], emask: int) -> None:
         m ^= low
 
 
-def extensions(link: dict[int, int], emask: int) -> int:
-    """The mask of Q = {v : e+v is a clique} for circuit ``emask``.
+@lru_cache(maxsize=1 << 12)  # every (mask, k) up to 8 vertices
+def _subsets(mask: int, k: int) -> tuple[int, ...]:
+    """The masks of the k-subsets of ``mask``."""
+    return tuple(map(vertex_mask, itertools.combinations(mask_vertices(mask), k)))
 
-    Q is the AND of ``link[s]`` over the (d-1)-subsets s of e.
+
+def exposed_clique(link: dict[int, int], emask: int) -> int | None:
+    """The mask of the unique maximal clique through circuit ``emask``, or None.
+
+    Q = {v : e+v is a clique} is the AND of ``link[s]`` over the
+    (d-1)-subsets s of e, without e's own vertices.  e is exposed iff e+Q
+    is a clique, and then e+Q is that clique.  Every d-subset of e+Q other
+    than e is r+v for a (d-1)-subset r of e+Q not inside e and some v in
+    Q - r, so e+Q is a clique iff Q - r lies in ``link[r]`` for each such
+    r.  Only the (d-1)-subsets of e+Q are visited.
     """
     q = ~emask
     m = emask
@@ -107,37 +118,12 @@ def extensions(link: dict[int, int], emask: int) -> int:
         low = m & -m
         m ^= low
         q &= link[emask ^ low]
-    return q
-
-
-@lru_cache(maxsize=1 << 12)  # every (mask, k) up to 8 vertices
-def _subsets(mask: int, k: int) -> tuple[int, ...]:
-    """The masks of the k-subsets of ``mask``."""
-    return tuple(map(vertex_mask, itertools.combinations(mask_vertices(mask), k)))
-
-
-def clique_closure(link: dict[int, int], emask: int, q: int) -> int | None:
-    """e+Q when it is a clique, else None, for circuit ``emask`` with Q = ``q``.
-
-    Every d-subset of e+Q other than e is r+v for a (d-1)-subset r of e+Q
-    not inside e and some v in Q - r, so e+Q is a clique iff Q - r lies in
-    ``link[r]`` for each such r.  Only the (d-1)-subsets of e+Q are visited.
-    """
     closure = emask | q
     if q & (q - 1):  # with one extension vertex v, e+v is a clique by Q's definition
         for r in _subsets(closure, emask.bit_count() - 1):
             if r & q and q & ~r & ~link[r]:
                 return None
     return closure
-
-
-def exposed_clique(link: dict[int, int], emask: int) -> int | None:
-    """The mask of the unique maximal clique through circuit ``emask``, or None.
-
-    With Q = ``extensions(link, emask)``, e is exposed iff e+Q is a clique,
-    and then e+Q is that clique (``clique_closure``).
-    """
-    return clique_closure(link, emask, extensions(link, emask))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from . import search
@@ -20,7 +19,6 @@ from .clutter import (
     _check_size,
     _exposed_status,
     all_d_subsets,
-    clique_closure,
     d_subset_index,
     d_subset_masks,
     exposed_clique,
@@ -173,21 +171,6 @@ def _erasable(link: dict[int, int], masks, require_proper: bool):
     return ok
 
 
-@lru_cache(maxsize=None)
-def _complete_tables(n: int, d: int):
-    """The complete d-clutter's link table, each lex circuit's ridges (the
-    table's own key objects) and each ridge's circuits (lex indices)."""
-    link = link_table(n, d, (1 << comb(n, d)) - 1)
-    key = {s: s for s in link}
-    masks = d_subset_masks(n, d)
-    ridges = tuple(tuple(key[e ^ 1 << v - 1] for v in mask_vertices(e)) for e in masks)
-    circuits = {s: [] for s in link}
-    for j, rs in enumerate(ridges):
-        for s in rs:
-            circuits[s].append(j)
-    return link, ridges, {s: tuple(js) for s, js in circuits.items()}
-
-
 def find_erasure_sequence(
     target: Clutter, require_proper: bool = False, greedy_only: bool = False
 ) -> ErasureCertificate | None:
@@ -198,21 +181,17 @@ def find_erasure_sequence(
     backtracking over removal sets (``search.find``).  Returns None when
     no sequence exists.
 
-    Q(f) is kept for every circuit f still to be removed, in the style of
-    dancing links (Knuth 2000).  Removing e = s+x (s a (d-1)-subset of e, x
-    a vertex) drops x from Q(f) for exactly the circuits f = s+v whose Q(f)
-    holds x, and changes no other Q, so a move clears x there and saves
-    the old values, and its undo restores them.  The move test is
-    ``clique_closure`` on the kept Q.  The tables this walks (each
-    circuit's ridges, each ridge's circuits) depend only on (n, d) and are
-    cached (``_complete_tables``).
+    Both walks below move one link table with ``toggle_circuit`` and test
+    a move with ``_erasable`` on it.  The forward walk starts from the
+    complete clutter, whose table maps each (d-1)-subset s to every vertex
+    outside s.
 
     A "no" is also sought from the target's end (``search.find``'s
     ``backward``): a walk from the target that puts removed circuits back,
     each one exposed (properly, with ``require_proper``) once it is back.
     Circuit f is exposed in S+f iff ``_erasable`` accepts it on S's link
-    table, without f: ``extensions`` masks out f's own vertices, and
-    ``clique_closure`` reads only the rows of (d-1)-subsets not inside f.
+    table, without f: ``exposed_clique`` masks f's own vertices out of Q,
+    and its clique test reads only the rows of (d-1)-subsets not inside f.
     So that walk's move test depends on the set put back alone, and it has
     an order iff the forward search has.  On a sparse target it often dies
     within a few states, where the forward search backtracks through
@@ -223,62 +202,26 @@ def find_erasure_sequence(
     n, d = target.n, target.d
     masks = d_subset_masks(n, d)
     full = (1 << len(masks)) - 1
-    gone = full ^ target.circuit_index_mask
-    rem = [i for i in range(len(masks)) if gone >> i & 1]
-    complete, ridges, on_ridge = _complete_tables(n, d)
-    link = dict(complete)
-    vertices = (1 << n) - 1
-    q = [0] * len(masks)  # Q(f) for each circuit f still to be removed, else 0
-    for j in rem:
-        q[j] = vertices ^ masks[j]
-    undo = []  # (circuit, its Q before a move), newest last
-    marks = [0] * len(rem)  # len(undo) before each move made
+    rem = [masks[i - 1] for i in mask_vertices(full ^ target.circuit_index_mask)]  # lex order
 
-    def push(i: int) -> None:
-        j = rem[i]
-        e = masks[j]
-        marks[i] = len(undo)
-        undo.append((j, q[j]))
-        q[j] = 0
-        for s in ridges[j]:
-            x = e ^ s
-            link[s] ^= x
-            for f in on_ridge[s]:
-                if q[f] & x:
-                    undo.append((f, q[f]))
-                    q[f] ^= x
-
-    def pop(i: int) -> None:
-        j = rem[i]
-        e = masks[j]
-        for s in ridges[j]:
-            link[s] ^= e ^ s
-        mark = marks[i]
-        for f, old in undo[mark:]:
-            q[f] = old
-        del undo[mark:]
-
-    def ok(i: int) -> bool:
-        j = rem[i]
-        e = masks[j]
-        clique = clique_closure(link, e, q[j])
-        return clique is not None and not (require_proper and clique == e)
-
-    def backward():
-        back = link_table(n, d, target.circuit_index_mask)
-        adds = [masks[j] for j in rem]
+    def moves(link: dict[int, int]):
+        """The move test, push and pop of a walk on ``link``."""
 
         def toggle(i: int) -> None:
-            toggle_circuit(back, adds[i])
+            toggle_circuit(link, rem[i])
 
-        erasable = _erasable(back, adds, require_proper)
-        return (yield from search.walk(len(rem), erasable, toggle, toggle, False))
+        return _erasable(link, rem, require_proper), toggle, toggle
 
-    chosen = search.find(len(rem), ok, push, pop, greedy_only, backward())
+    def backward():
+        back = moves(link_table(n, d, target.circuit_index_mask))
+        return (yield from search.walk(len(rem), *back, False))
+
+    vertices = (1 << n) - 1
+    complete = {s: vertices ^ s for s in d_subset_masks(n, d - 1)}
+    chosen = search.find(len(rem), *moves(complete), greedy_only, backward())
     if chosen is None:
         return None
-    subsets = all_d_subsets(n, d)
-    return replay_erasure_sequence(n, d, [subsets[rem[i]] for i in chosen], require_proper)
+    return replay_erasure_sequence(n, d, [mask_vertices(rem[i]) for i in chosen], require_proper)
 
 
 def erasure_reachable_set(n: int, d: int, require_proper: bool = False) -> set[int]:

@@ -16,7 +16,7 @@ import random
 from math import comb
 
 from . import search
-from .clutter import Clutter, all_d_subsets, vertex_mask
+from .clutter import MAX_VERTICES, Clutter, SizeGuardError, all_d_subsets, vertex_mask
 from .erasures import (
     _exposure_moves,
     betti_from_erasures,
@@ -334,9 +334,14 @@ def mst_suite(count: int, max_n: int, seed: int) -> dict:
     """Erasure spanning trees against Kruskal on random weighted chordal graphs.
 
     Weights are distinct integers, so the minimum spanning tree is unique
-    and the edge sets must match exactly, not just the weights.
+    and the edge sets must match exactly, not just the weights.  Each n is
+    drawn from 3..``max_n``, so ``max_n`` is checked before any draw.
     """
     _check_sizes(count=count, max_n=max_n)
+    if max_n > MAX_VERTICES:
+        raise SizeGuardError(f"size guard: at most {MAX_VERTICES} vertices supported, got max_n={max_n}")
+    if count and max_n < 3:
+        raise ValueError(f"need max_n >= 3 when count > 0, got max_n={max_n}")
     rng = random.Random(seed)
     report: dict = {
         "suite": "mst",

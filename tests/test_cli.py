@@ -357,6 +357,8 @@ BAD_INPUTS = {
     "negative-n-boundary": lambda tmp: ("suite", "exhaustive", "boundary", "--n", "-2"),
     "negative-count": lambda tmp: ("suite", "random", "--count", "-1"),
     "negative-max-n": lambda tmp: ("suite", "random", "--count", "0", "--max-n", "-2"),
+    "max-n-over-64": lambda tmp: ("suite", "random", "--count", "1", "--max-n", "700", "--seed", "5"),
+    "max-n-below-3": lambda tmp: ("suite", "random", "--count", "1", "--max-n", "2"),
 }
 
 

@@ -289,8 +289,8 @@ def test_ridge_chordal_and_erasure_verdicts_ignore_vertex_labels():
 
 
 def reference_order(target, require_proper=False, greedy_only=False):
-    """The removal order found by ``search.find`` with ``_erasable`` on a plain
-    link table: no backward walk, and Q recomputed at every move test."""
+    """The removal order found by ``search.find`` with ``_erasable`` on the
+    complete clutter's table as ``link_table`` builds it, and no backward walk."""
     n, d = target.n, target.d
     full = (1 << comb(n, d)) - 1
     gone = full ^ target.circuit_index_mask
@@ -359,6 +359,18 @@ def test_orders_match_the_reference_search():
             assert search_order(target, *mode) == reference_order(target, *mode)
 
     check()
+
+
+@pytest.mark.parametrize("n, d", [(8, 4), (12, 6)])
+@pytest.mark.parametrize("proper", [False, True])
+def test_one_short_of_complete_is_one_step_through_the_whole_vertex_set(n, d, proper):
+    # past the exhaustive sizes: the forward walk's closed-form start table
+    # must give the missing circuit Q = every other vertex
+    subsets = all_d_subsets(n, d)
+    j = len(subsets) // 2
+    target = Clutter.from_index_mask(n, d, ((1 << len(subsets)) - 1) ^ (1 << j))
+    cert = find_erasure_sequence(target, proper)
+    assert cert.removed == (RemovalStep(subsets[j], tuple(range(1, n + 1)), 0, True),)
 
 
 def test_exposure_is_linear_division_pointwise():

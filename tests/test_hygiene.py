@@ -309,7 +309,6 @@ KEPT_UNBOUNDED = {
     "clutter.all_d_subsets": "one entry per (n, d)",
     "clutter.d_subset_index": "one entry per (n, d)",
     "clutter.d_subset_masks": "one entry per (n, d)",
-    "erasures._complete_tables": "one entry per (n, d), the complete clutter's tables",
     "homology._within_table": "one entry per (n, d)",
 }
 
