@@ -373,7 +373,9 @@ def _cmd_probe(args) -> tuple[int, dict, list[str]]:
 
 # The ``suite exhaustive`` kinds and the call each makes on the ``suites``
 # module.  ``skeleton`` is one search in this process, so its ``--jobs`` is
-# checked, not used.
+# checked, not used.  Only the kinds in ``_TAKE_D`` read ``--d``; the others
+# run on graphs and refuse any other d than 2.
+_TAKE_D = ("clutter-erasure", "free-face", "multiset")
 _EXHAUSTIVE = {
     "froberg": lambda suites, args: suites.froberg_suite(args.n, jobs=args.jobs),
     "connectivity": lambda suites, args: suites.connectivity_suite(args.n, jobs=args.jobs),
@@ -390,6 +392,8 @@ def _cmd_suite_exhaustive(args) -> tuple[int, dict, list[str]]:
     from . import suites
 
     suites._check_jobs(args.jobs)
+    if args.d != 2 and args.what not in _TAKE_D:
+        raise ValueError(f"suite exhaustive {args.what} runs on graphs: need --d 2, got --d {args.d}")
     report = _EXHAUSTIVE[args.what](suites, args)
     return (0 if report["ok"] else 1), report, [f"{args.what}: {'ok' if report['ok'] else 'FAILED'}"]
 

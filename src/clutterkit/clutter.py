@@ -317,5 +317,4 @@ class Clutter:
 
     def clique_complex(self) -> SimplicialComplex:
         """Complex with full (d-2)-skeleton whose larger faces are cliques."""
-        facets = sorted(self.max_cliques(), key=lambda f: (len(f), f))
-        return SimplicialComplex(self.n, tuple(facets))
+        return SimplicialComplex.from_facets(self.n, self.max_cliques())

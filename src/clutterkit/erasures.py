@@ -18,7 +18,6 @@ from .clutter import (
     Clutter,
     _check_size,
     _exposed_status,
-    all_d_subsets,
     d_subset_index,
     d_subset_masks,
     exposed_clique,
@@ -27,7 +26,7 @@ from .clutter import (
     toggle_circuit,
     vertex_mask,
 )
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, complements
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,7 @@ class ErasureCertificate:
 
     @property
     def result(self) -> Clutter:
-        gone = {s.circuit for s in self.removed}
-        return Clutter(
-            self.n, self.d, tuple(e for e in all_d_subsets(self.n, self.d) if e not in gone)
-        )
+        return Clutter.from_circuits(self.n, self.d, [s.circuit for s in self.removed]).complement()
 
     @property
     def k_sequence(self) -> tuple[int, ...]:
@@ -277,10 +273,8 @@ def h_vector_check(cert: ErasureCertificate):
     The complex has one facet [n] \\ e per removed circuit e; its h-vector
     should count how many removals had each clique deficiency.
     """
-    n = cert.n
-    everything = set(range(1, n + 1))
-    facets = [tuple(sorted(everything - set(s.circuit))) for s in cert.removed]
-    h = SimplicialComplex(n, tuple(sorted(set(facets), key=lambda f: (len(f), f)))).h_vector
+    facets = complements(cert.n, [s.circuit for s in cert.removed])
+    h = SimplicialComplex.from_facets(cert.n, facets).h_vector
     ks = cert.k_sequence
     counts = {k: ks.count(k) for k in set(ks)}
     equal = all(h[i] == counts.get(i, 0) for i in range(len(h))) and all(

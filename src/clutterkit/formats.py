@@ -111,9 +111,7 @@ def read_complex(text: str) -> tuple[SimplicialComplex, list[tuple[int, ...]]]:
     """
     at, (n,), rows = _header(text, "`n`", 1, "header must be a single vertex count `n`")
     facets = [(lineno, () if body == "-" else tuple(sorted(_ints(body, lineno)))) for lineno, body in rows]
-    complex_ = _build(
-        lambda fs: SimplicialComplex(n, tuple(sorted(set(fs), key=lambda f: (len(f), f)))), at, facets
-    )
+    complex_ = _build(lambda fs: SimplicialComplex.from_facets(n, fs), at, facets)
     return complex_, [f for _, f in facets]
 
 

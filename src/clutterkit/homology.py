@@ -138,10 +138,11 @@ def _homology_from_levels(levels: list[list[int]], fld: str) -> tuple[int, ...]:
     )
 
 
-def reduced_homology_dims(complex_: SimplicialComplex, field: str = "gf2") -> dict[int, int]:
+def reduced_homology_dims(complex_: SimplicialComplex, field: str) -> dict[int, int]:
     """Reduced homology dimensions {k: dim H~_k} for k = -1 .. dim.
 
     The void complex yields {}; the irrelevant complex {()} yields {-1: 1}.
+    The uncached reference that the tests hold Hochster's cached homology to.
     """
     fld = _check_field(field)
     if complex_.is_void:

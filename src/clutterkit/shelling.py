@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import search
-from .clutter import Clutter, all_d_subsets, vertex_mask
+from .clutter import all_d_subsets, vertex_mask
 from .erasures import ErasureCertificate, replay_erasure_sequence
-from .graphs import graph_connected
-from .homology import reduced_homology_dims
 from .ideals import _quotient_moves
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, complements
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def verify_shelling(complex_: SimplicialComplex, order) -> ShellingReport:
     if not complex_.is_pure:
         raise ValueError("shellings are defined for pure complexes only")
     order = [tuple(sorted(f)) for f in order]
-    if sorted(order, key=lambda f: (len(f), f)) != list(complex_.facets):
+    if len(order) != len(complex_.facets) or set(order) != set(complex_.facets):
         raise ValueError("order is not a permutation of the facets")
     earlier: list[set] = []
     restricted: list[tuple[tuple[int, ...], ...]] = []
@@ -80,10 +78,8 @@ def verify_shelling(complex_: SimplicialComplex, order) -> ShellingReport:
 
 def erasures_to_shelling(cert: ErasureCertificate) -> ShellingOrder:
     """Shelling with facets [n] \\ e_i, in certificate order."""
-    n = cert.n
-    everything = set(range(1, n + 1))
-    order = tuple(tuple(sorted(everything - set(s.circuit))) for s in cert.removed)
-    complex_ = SimplicialComplex(n, tuple(sorted(set(order), key=lambda f: (len(f), f))))
+    order = tuple(complements(cert.n, [s.circuit for s in cert.removed]))
+    complex_ = SimplicialComplex.from_facets(cert.n, order)
     report = verify_shelling(complex_, order)
     if not report.valid:
         raise ValueError(f"certificate does not shell its dual complex (step {report.failed_at})")
@@ -106,9 +102,7 @@ def shelling_to_erasures(shelling: ShellingOrder, d: int | None = None) -> Erasu
     d = n - size
     if d < 1:
         raise ValueError(f"facet size {size} leaves no circuit size on {n} vertices")
-    everything = set(range(1, n + 1))
-    order = [tuple(sorted(everything - set(f))) for f in shelling.order]
-    return replay_erasure_sequence(n, d, order)
+    return replay_erasure_sequence(n, d, complements(n, shelling.order))
 
 
 # -- extendable shellability ---------------------------------------------------
@@ -169,55 +163,3 @@ def skeleton_complex(n: int, dim: int) -> SimplicialComplex:
     if not -1 <= dim <= n - 1:
         raise ValueError(f"skeleton dimension must lie in -1..{n - 1}")
     return SimplicialComplex(n, all_d_subsets(n, dim + 1) if dim >= 0 else ((),))
-
-
-def check_contractible_extendable(complex_: SimplicialComplex) -> dict:
-    """Probe: contractible (n-3)-dimensional shellable complexes with
-    binomial(n,2) - n + 1 facets should be extendably shellable, with the
-    unused edges forming a spanning tree.
-
-    Hypothesis violations are reported, never raised.
-    """
-    n = complex_.n
-    report: dict = {"n": n, "hypothesis_ok": True, "reasons": []}
-
-    def fail(reason: str):
-        report["hypothesis_ok"] = False
-        report["reasons"].append(reason)
-
-    if complex_.is_void or not complex_.is_pure or complex_.dim != n - 3:
-        fail(f"complex is not pure of dimension {n - 3}")
-        return report
-    expected = n * (n - 1) // 2 - n + 1
-    if len(complex_.facets) != expected:
-        fail(f"facet count {len(complex_.facets)} differs from {expected}")
-        return report
-
-    facets, allowed = _shelling_moves(complex_)
-    last = search.closure(len(facets), allowed)
-    full = (1 << len(facets)) - 1
-    if full not in last:
-        fail("complex is not shellable")
-        return report
-    shelling = verify_shelling(complex_, [facets[f] for f in search.path(last, full)])
-    spheres = sum(1 for r in shelling.restricted_sets if len(r) == n - 2)
-    report["full_restricted_steps"] = spheres
-    homology = reduced_homology_dims(complex_, "rational")
-    report["homology_trivial"] = not any(homology.values())
-    if spheres or any(homology.values()):
-        fail("complex is not contractible")
-        return report
-
-    everything = set(range(1, n + 1))
-    facet_set = set(complex_.facets)
-    tree = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if tuple(sorted(everything - {u, v})) not in facet_set
-    ]
-    report["tree_edges"] = [list(e) for e in tree]
-    report["tree_is_spanning_tree"] = len(tree) == n - 1 and graph_connected(Clutter(n, 2, tuple(tree)))
-    report["extendable"] = not search.stuck(len(facets), allowed, last)
-    report["partial_shellings_checked"] = len(last)
-    return report

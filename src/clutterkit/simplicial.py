@@ -15,6 +15,17 @@ from functools import cached_property
 from math import comb
 
 
+def _size_lex(facet: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The facet order of a complex: by size, then lexicographically."""
+    return len(facet), facet
+
+
+def complements(n: int, sets) -> list[tuple[int, ...]]:
+    """{1..n} minus each of ``sets``, in the order given, as sorted tuples."""
+    everything = set(range(1, n + 1))
+    return [tuple(sorted(everything.difference(s))) for s in sets]
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int
@@ -32,15 +43,20 @@ class SimplicialComplex:
         for a, b in itertools.combinations(sets, 2):
             if a <= b or b <= a:
                 raise ValueError("facets must be pairwise incomparable")
-        if list(self.facets) != sorted(self.facets, key=lambda f: (len(f), f)):
+        if list(self.facets) != sorted(self.facets, key=_size_lex):
             raise ValueError("facets must be sorted by (size, lex)")
+
+    @classmethod
+    def from_facets(cls, n: int, facets) -> "SimplicialComplex":
+        """Sort each facet and the facets, dropping a repeated facet (a repeated vertex is rejected)."""
+        return cls(n, tuple(sorted({tuple(sorted(f)) for f in facets}, key=_size_lex)))
 
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
         """Build the complex whose faces are the downward closure of the input."""
         canon = {tuple(sorted(set(f))) for f in faces}
         maximal = [f for f in canon if not any(f != g and set(f) <= set(g) for g in canon)]
-        return cls(n, tuple(sorted(maximal, key=lambda f: (len(f), f))))
+        return cls.from_facets(n, maximal)
 
     @property
     def is_void(self) -> bool:
@@ -122,6 +138,4 @@ def alexander_dual(complex_: SimplicialComplex) -> SimplicialComplex:
     boundary of a simplex to the irrelevant complex.
     """
     n = complex_.n
-    everything = set(range(1, n + 1))
-    facets = [tuple(sorted(everything - set(s))) for s in complex_.minimal_nonfaces()]
-    return SimplicialComplex(n, tuple(sorted(facets, key=lambda f: (len(f), f))))
+    return SimplicialComplex.from_facets(n, complements(n, complex_.minimal_nonfaces()))

@@ -13,6 +13,7 @@ from clutterkit.cli import main
 G5_TEXT = "5 2\n1 2\n2 5\n3 4\n3 5\n4 5\n"
 C4_TEXT = "4 2\n1 2\n2 3\n3 4\n1 4\n"
 IDEAL_TEXT = "5\n1 3\n1 4\n1 5\n2 3\n2 4\n"
+G5_DUAL_TEXT = "5\n2 4 5\n2 3 5\n2 3 4\n1 4 5\n1 3 5\n"  # the facets [5] - e of G5's erasure order
 
 
 @pytest.fixture
@@ -145,7 +146,7 @@ def test_graph_commands(capsys, g5_file, c4_file, tmp_path):
 
 def test_shelling_commands(capsys, tmp_path):
     complex_path = tmp_path / "complex.txt"
-    complex_path.write_text("5\n2 4 5\n2 3 5\n2 3 4\n1 4 5\n1 3 5\n")
+    complex_path.write_text(G5_DUAL_TEXT)
     code, out, _ = run(capsys, "shelling", "verify", str(complex_path))
     assert code == 0 and last_json(out)["restricted_sizes"] == [0, 1, 2, 1, 2]
 
@@ -359,6 +360,7 @@ BAD_INPUTS = {
     "negative-max-n": lambda tmp: ("suite", "random", "--count", "0", "--max-n", "-2"),
     "max-n-over-64": lambda tmp: ("suite", "random", "--count", "1", "--max-n", "700", "--seed", "5"),
     "max-n-below-3": lambda tmp: ("suite", "random", "--count", "1", "--max-n", "2"),
+    "d-on-a-graph-suite": lambda tmp: ("suite", "exhaustive", "connectivity", "--n", "3", "--d", "5"),
 }
 
 
@@ -403,10 +405,11 @@ CLI_MODULES = {"clutterkit"} | modules("cli", "formats", "clutter", "simplicial"
 ERASURE_MODULES = CLI_MODULES | modules("erasures", "search")
 GRAPH_MODULES = ERASURE_MODULES | modules("graphs") | {"fractions"}
 SUITE_MODULES = GRAPH_MODULES | modules("suites", "ideals")
+SHELLING_MODULES = ERASURE_MODULES | modules("shelling", "ideals")
 
-# Each command of the cli benchmark, and two that run a suite: the argv, with
-# {graph}, {certificate} and {ideal} standing for input files, and the
-# modules the call loads.
+# Each command of the cli benchmark, two shelling commands and two that run a
+# suite: the argv, with {graph}, {certificate}, {ideal} and {complex} standing
+# for input files, and the modules the call loads.
 COMMAND_MODULES = {
     "complement": (["complement", "{graph}"], CLI_MODULES),
     "exposed": (["exposed", "{graph}", "--circuit", "3,4"], CLI_MODULES),
@@ -418,6 +421,8 @@ COMMAND_MODULES = {
     "graph-peo": (["graph", "peo", "{graph}"], GRAPH_MODULES),
     "graph-chromatic": (["graph", "chromatic", "{graph}"], GRAPH_MODULES),
     "graph-boundary": (["graph", "boundary", "{graph}"], GRAPH_MODULES),
+    "shelling-verify": (["shelling", "verify", "{complex}"], SHELLING_MODULES),
+    "shelling-from-erasures": (["shelling", "from-erasures", "{certificate}"], SHELLING_MODULES),
     "suite": (["suite", "exhaustive", "connectivity", "--n", "3"], SUITE_MODULES),
     "probe": (["probe", "simon", "--n", "3"], SUITE_MODULES),
 }
@@ -435,6 +440,7 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
         "graph": write(tmp_path / "g5.clut", G5_TEXT.encode()),
         "certificate": write(tmp_path / "cert.json", json.dumps(G5_CERTIFICATE).encode()),
         "ideal": write(tmp_path / "ideal.txt", IDEAL_TEXT.encode()),
+        "complex": write(tmp_path / "complex.txt", G5_DUAL_TEXT.encode()),
     }
     argv = [arg.format(**files) for arg in argv] + ["--out", str(tmp_path / "report.json")]
     assert loaded_modules(f"from clutterkit.cli import main\nassert main({argv!r}) == 0") == expected

@@ -179,6 +179,17 @@ def test_h_vector_check_cases(tailed_triangle):
     assert h == (1, 2, 2, 0) and ks == [0, 1, 1, 2, 2] and equal
 
 
+@pytest.mark.parametrize(
+    "require_proper, sizes",
+    [
+        (False, (2, 8, 61, 822, 18154)),  # OEIS A058862: labeled chordal graphs
+        (True, (1, 4, 35, 541, 13302)),  # OEIS A007134: labeled connected chordal graphs
+    ],
+)
+def test_d2_closure_sizes_match_oeis(require_proper, sizes):
+    assert tuple(len(erasure_reachable_set(n, 2, require_proper)) for n in range(2, 7)) == sizes
+
+
 def test_reachable_set_extraction_matches_search():
     reach = erasure_reachable_set(4, 2)
     pairs = all_d_subsets(4, 2)

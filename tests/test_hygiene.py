@@ -179,7 +179,7 @@ KEPT_FOR_TESTS = {
     "QuotientOrderReport.ell_sequence": "a quotient order's colon counts, against the shelling's",
     "write_weighted_graph": "the weighted-graph format round trip",
     "shelling_to_erasures": "the inverse of erasures_to_shelling in the shelling round trip",
-    "check_contractible_extendable": "a probe that the shelling tests run; the CLI exposes only Simon's",
+    "reduced_homology_dims": "the uncached reference homology that the homology and acceptance tests read",
 }
 
 

@@ -9,7 +9,6 @@ from clutterkit.erasures import find_erasure_sequence, replay_erasure_sequence
 from clutterkit.homology import reduced_homology_dims
 from clutterkit.ideals import SquarefreeIdeal, verify_quotient_order
 from clutterkit.shelling import (
-    check_contractible_extendable,
     erasures_to_shelling,
     is_extendably_shellable,
     shelling_to_erasures,
@@ -262,27 +261,6 @@ def test_extendability_state_count_matches_chordal_graphs():
 
     result = is_extendably_shellable(skeleton_complex(5, 2))
     assert result.states == len(enumerate_chordal_graphs(5))
-
-
-def test_contractible_extendable_probe():
-    # remove all edges outside a spanning star of the complete graph on 5 vertices
-    star = {(1, v) for v in range(2, 6)}
-    target = Clutter.from_circuits(5, 2, star)
-    cert = find_erasure_sequence(target, require_proper=True)
-    assert cert is not None
-    shelling = erasures_to_shelling(cert)
-    report = check_contractible_extendable(shelling.complex)
-    assert report["hypothesis_ok"] and report["extendable"]
-    assert report["tree_is_spanning_tree"]
-    assert sorted(map(tuple, report["tree_edges"])) == sorted(star)
-
-    path = {(1, 2), (2, 3), (3, 4), (4, 5)}
-    cert = find_erasure_sequence(Clutter.from_circuits(5, 2, path), require_proper=True)
-    report = check_contractible_extendable(erasures_to_shelling(cert).complex)
-    assert report["hypothesis_ok"] and report["extendable"]
-
-    bad = check_contractible_extendable(skeleton_complex(5, 2))
-    assert not bad["hypothesis_ok"]
 
 
 def test_skeleton_complex_edges():

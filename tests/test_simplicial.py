@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from clutterkit.simplicial import SimplicialComplex, alexander_dual
+from clutterkit.simplicial import SimplicialComplex, alexander_dual, complements
 
 
 def test_from_faces_keeps_maximal_only():
     complex_ = SimplicialComplex.from_faces(4, [(1, 2), (2, 1), (1,), (3,), (1, 2, 4)])
     assert complex_.facets == ((3,), (1, 2, 4))
+    assert SimplicialComplex.from_facets(4, [(4, 2, 1), (3,), (1, 2, 4)]) == complex_  # unsorted, repeated
 
 
 def test_validation():
@@ -18,12 +19,20 @@ def test_validation():
         SimplicialComplex(3, ((2, 1),))
     with pytest.raises(ValueError):
         SimplicialComplex(3, ((1, 4),))
+    with pytest.raises(ValueError, match="incomparable"):
+        SimplicialComplex.from_facets(3, [(2, 1), (1,)])
+    with pytest.raises(ValueError, match=r"facet \(1, 1\) is not a sorted duplicate-free tuple"):
+        SimplicialComplex.from_facets(3, [(1, 1)])  # a repeated vertex is not dropped
+    with pytest.raises(ValueError, match="out of range"):
+        SimplicialComplex.from_facets(3, [(4, 1)])
 
 
 def test_degenerate_complexes():
     void = SimplicialComplex(3, ())
     assert void.is_void and void.f_vector == (0,) and void.h_vector == ()
+    assert SimplicialComplex.from_facets(3, []) == void
     irrelevant = SimplicialComplex(3, ((),))
+    assert SimplicialComplex.from_facets(3, [(), ()]) == irrelevant
     assert irrelevant.dim == -1
     assert irrelevant.f_vector == (1,)
     assert irrelevant.h_vector == (1,)
@@ -69,6 +78,7 @@ def test_alexander_dual_against_subset_scan():
                 for s in itertools.combinations(universe, r):
                     comp = tuple(v for v in universe if v not in s)
                     assert dual.has_face(s) == (not complex_.has_face(comp))
+                    assert complements(n, [s, comp]) == [comp, s]
 
 
 def test_alexander_dual_is_involution():
