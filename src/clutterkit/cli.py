@@ -372,9 +372,9 @@ def _cmd_probe(args) -> tuple[int, dict, list[str]]:
 
 
 # The ``suite exhaustive`` kinds and the call each makes on the ``suites``
-# module.  ``skeleton`` is one search in this process, so its ``--jobs`` is
-# checked, not used.  Only the kinds in ``_TAKE_D`` read ``--d``; the others
-# run on graphs and refuse any other d than 2.
+# module.  ``skeleton`` and ``multiset`` run in this process, so their
+# ``--jobs`` is checked, not used.  Only the kinds in ``_TAKE_D`` read
+# ``--d``; the others run on graphs and refuse any other d than 2.
 _TAKE_D = ("clutter-erasure", "free-face", "multiset")
 _EXHAUSTIVE = {
     "froberg": lambda suites, args: suites.froberg_suite(args.n, jobs=args.jobs),
@@ -384,7 +384,7 @@ _EXHAUSTIVE = {
     "boundary": lambda suites, args: suites.boundary_suite(args.n, jobs=args.jobs),
     "free-face": lambda suites, args: suites.free_face_suite(args.n, args.d, jobs=args.jobs),
     "skeleton": lambda suites, args: suites.skeleton_extendability_suite(args.n),
-    "multiset": lambda suites, args: suites.multiset_invariance_suite(args.n, args.d, jobs=args.jobs),
+    "multiset": lambda suites, args: suites.multiset_invariance_suite(args.n, args.d),
 }
 
 
@@ -409,123 +409,81 @@ def _cmd_suite_random(args) -> tuple[int, dict, list[str]]:
 
 # -- parser ---------------------------------------------------------------------
 
+# One row per command: its words, its handler and its arguments as
+# ``(name, add_argument options)`` pairs.  ``build_parser`` adds ``--out`` to
+# every row, last, and the help of each top-level word comes from ``_GROUPS``.
+_INPUT = ("input", {})
+_CERTIFICATE = ("certificate", {})
+_FLAG = {"action": "store_true"}
+_GREEDY_ONLY = ("--greedy-only", _FLAG)
+_FIELD = ("--field", {"choices": FIELDS, "default": "gf2"})
+_N = ("--n", {"type": int, "required": True})
+_D = ("--d", {"type": int, "default": 2})
+
+_GROUPS = {
+    "complement": "complement a clutter",
+    "exposed": "exposure status of one circuit",
+    "erasures": "erasure certificates",
+    "ideal": "squarefree ideal operations",
+    "betti": "Betti numbers two ways",
+    "shelling": "shellings and Alexander duality",
+    "graph": "chordal graph applications",
+    "probe": "conjecture probes (report-only, never assert)",
+    "suite": "verification sweeps",
+}
+
+_COMMANDS = (
+    (("complement",), _cmd_complement, [_INPUT]),
+    (("exposed",), _cmd_exposed, [_INPUT, ("--circuit", {"required": True, "help": "e.g. '1,2,5'"})]),
+    (("erasures", "find"), _cmd_erasures_find, [_INPUT, ("--require-proper", _FLAG), _GREEDY_ONLY]),
+    (("erasures", "verify"), _cmd_erasures_verify, [_CERTIFICATE]),
+    (("erasures", "betti"), _cmd_erasures_betti, [_CERTIFICATE]),
+    (("ideal", "colon"), _cmd_ideal_colon, [_INPUT, ("--monomial", {"required": True, "help": "e.g. '2,4'"})]),
+    (("ideal", "quotients"), _cmd_ideal_quotients, [
+        _INPUT, ("--find", {**_FLAG, "help": "search orders instead of verifying"}), _GREEDY_ONLY,
+    ]),
+    (("betti", "hochster"), _cmd_betti_hochster, [
+        _INPUT, _FIELD, ("--quotient", {**_FLAG, "help": "shift to the R/I convention"}),
+    ]),
+    (("betti", "formula"), _cmd_betti_formula, [_INPUT, _FIELD]),
+    (("betti", "compare"), _cmd_betti_compare, [_INPUT, _FIELD]),
+    (("shelling", "verify"), _cmd_shelling_verify, [_INPUT]),
+    (("shelling", "dual"), _cmd_shelling_dual, [_INPUT]),
+    (("shelling", "extendable"), _cmd_shelling_extendable, [_INPUT]),
+    (("shelling", "from-erasures"), _cmd_shelling_from_erasures, [_CERTIFICATE]),
+    (("graph", "chordal"), _cmd_graph_chordal, [_INPUT]),
+    (("graph", "peo"), _cmd_graph_peo, [_INPUT]),
+    (("graph", "chromatic"), _cmd_graph_chromatic, [_INPUT]),
+    (("graph", "mst"), _cmd_graph_mst, [_INPUT]),
+    (("graph", "boundary"), _cmd_graph_boundary, [_INPUT]),
+    (("probe",), _cmd_probe, [("kind", {"choices": ("simon", "ridge-chordal")}), _N, _D]),
+    (("suite", "exhaustive"), _cmd_suite_exhaustive, [
+        ("what", {"choices": tuple(_EXHAUSTIVE)}), _N, _D, ("--jobs", {"type": int, "default": 1}),
+    ]),
+    (("suite", "random"), _cmd_suite_random, [
+        ("--count", {"type": int, "default": 100}),
+        ("--max-n", {"type": int, "default": 8}),
+        ("--seed", {"type": int, "default": 0}),
+    ]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clutterkit",
         description="chordal clutters, erasure certificates, linear quotients, Betti numbers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
+    groups: dict = {}  # a top-level word -> its parser, or its subcommands
+    for (group, *leaf), handler, arguments in _COMMANDS:
+        if group not in groups:
+            p = sub.add_parser(group, help=_GROUPS[group])
+            groups[group] = p.add_subparsers(dest="sub", required=True) if leaf else p
+        p = groups[group].add_parser(*leaf) if leaf else groups[group]
+        for name, options in arguments:
+            p.add_argument(name, **options)
         p.add_argument("--out", help="write the JSON report to this path")
-
-    p = sub.add_parser("complement", help="complement a clutter")
-    p.add_argument("input")
-    add_out(p)
-    p.set_defaults(handler=_cmd_complement)
-
-    p = sub.add_parser("exposed", help="exposure status of one circuit")
-    p.add_argument("input")
-    p.add_argument("--circuit", required=True, help="e.g. '1,2,5'")
-    add_out(p)
-    p.set_defaults(handler=_cmd_exposed)
-
-    p = sub.add_parser("erasures", help="erasure certificates")
-    es = p.add_subparsers(dest="sub", required=True)
-    q = es.add_parser("find")
-    q.add_argument("input")
-    q.add_argument("--require-proper", action="store_true")
-    q.add_argument("--greedy-only", action="store_true")
-    add_out(q)
-    q.set_defaults(handler=_cmd_erasures_find)
-    q = es.add_parser("verify")
-    q.add_argument("certificate")
-    add_out(q)
-    q.set_defaults(handler=_cmd_erasures_verify)
-    q = es.add_parser("betti")
-    q.add_argument("certificate")
-    add_out(q)
-    q.set_defaults(handler=_cmd_erasures_betti)
-
-    p = sub.add_parser("ideal", help="squarefree ideal operations")
-    es = p.add_subparsers(dest="sub", required=True)
-    q = es.add_parser("colon")
-    q.add_argument("input")
-    q.add_argument("--monomial", required=True, help="e.g. '2,4'")
-    add_out(q)
-    q.set_defaults(handler=_cmd_ideal_colon)
-    q = es.add_parser("quotients")
-    q.add_argument("input")
-    q.add_argument("--find", action="store_true", help="search orders instead of verifying")
-    q.add_argument("--greedy-only", action="store_true")
-    add_out(q)
-    q.set_defaults(handler=_cmd_ideal_quotients)
-
-    p = sub.add_parser("betti", help="Betti numbers two ways")
-    es = p.add_subparsers(dest="sub", required=True)
-    for name, handler in (
-        ("hochster", _cmd_betti_hochster),
-        ("formula", _cmd_betti_formula),
-        ("compare", _cmd_betti_compare),
-    ):
-        q = es.add_parser(name)
-        q.add_argument("input")
-        q.add_argument("--field", choices=FIELDS, default="gf2")
-        if name == "hochster":
-            q.add_argument("--quotient", action="store_true", help="shift to the R/I convention")
-        add_out(q)
-        q.set_defaults(handler=handler)
-
-    p = sub.add_parser("shelling", help="shellings and Alexander duality")
-    es = p.add_subparsers(dest="sub", required=True)
-    for name, handler, arg in (
-        ("verify", _cmd_shelling_verify, "input"),
-        ("dual", _cmd_shelling_dual, "input"),
-        ("extendable", _cmd_shelling_extendable, "input"),
-        ("from-erasures", _cmd_shelling_from_erasures, "certificate"),
-    ):
-        q = es.add_parser(name)
-        q.add_argument(arg)
-        add_out(q)
-        q.set_defaults(handler=handler)
-
-    p = sub.add_parser("graph", help="chordal graph applications")
-    es = p.add_subparsers(dest="sub", required=True)
-    for name, handler in (
-        ("chordal", _cmd_graph_chordal),
-        ("peo", _cmd_graph_peo),
-        ("chromatic", _cmd_graph_chromatic),
-        ("mst", _cmd_graph_mst),
-        ("boundary", _cmd_graph_boundary),
-    ):
-        q = es.add_parser(name)
-        q.add_argument("input")
-        add_out(q)
-        q.set_defaults(handler=handler)
-
-    p = sub.add_parser("probe", help="conjecture probes (report-only, never assert)")
-    p.add_argument("kind", choices=("simon", "ridge-chordal"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    add_out(p)
-    p.set_defaults(handler=_cmd_probe)
-
-    p = sub.add_parser("suite", help="verification sweeps")
-    es = p.add_subparsers(dest="sub", required=True)
-    q = es.add_parser("exhaustive")
-    q.add_argument("what", choices=tuple(_EXHAUSTIVE))
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--d", type=int, default=2)
-    q.add_argument("--jobs", type=int, default=1)
-    add_out(q)
-    q.set_defaults(handler=_cmd_suite_exhaustive)
-    q = es.add_parser("random")
-    q.add_argument("--count", type=int, default=100)
-    q.add_argument("--max-n", type=int, default=8)
-    q.add_argument("--seed", type=int, default=0)
-    add_out(q)
-    q.set_defaults(handler=_cmd_suite_random)
-
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -534,10 +492,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report, human = args.handler(args)
-    except formats.FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (formats.FormatError, json.JSONDecodeError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a missing file, a directory, no permission
@@ -550,7 +505,7 @@ def main(argv=None) -> int:
         print(f"property failed: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(report, human, getattr(args, "out", None))
+        _emit(report, human, args.out)
     except OSError as exc:  # --out names a directory, a missing folder or a read-only file
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -239,28 +239,26 @@ class BettiTable:
         """True iff every nonzero entry sits on the diagonal j = i + degree."""
         return all(j == i + degree for (i, j) in self.entries)
 
+    def _shifted(self, quotient: bool) -> dict[tuple[int, int], int]:
+        """The entries of I, or of R/I: shifted one step, plus beta_{0,0} = 1 (R/0 = R)."""
+        if not quotient:
+            return self.entries
+        return {(0, 0): 1, **{(i + 1, j): b for (i, j), b in self.entries.items()}}
+
     def to_json_dict(self, quotient: bool = False) -> dict:
-        shift = 1 if quotient else 0
-        entries = sorted((i + shift, j, b) for (i, j), b in self.entries.items())
-        if quotient and not self.zero_ideal:
-            entries = [(0, 0, 1)] + entries
+        entries = self._shifted(quotient)
         out: dict = {
-            "entries": [list(e) for e in entries],
+            "entries": [[i, j, b] for (i, j), b in sorted(entries.items())],
             "convention": "quotient" if quotient else "ideal",
+            "pdim": max((i for i, _ in entries), default=None),
         }
         if self.zero_ideal:
             out["zero_ideal"] = True
-            out["pdim"] = None
-        else:
-            out["pdim"] = self.pdim + shift
         return out
 
     def diagram(self, quotient: bool = False) -> str:
         """Macaulay2-style Betti diagram (rows indexed by j - i)."""
-        entries = dict(self.entries)
-        if quotient:
-            entries = {(i + 1, j): b for (i, j), b in entries.items()}
-            entries[(0, 0)] = 1
+        entries = self._shifted(quotient)
         if not entries:
             return "(zero ideal)"
         imax = max(i for i, _ in entries)

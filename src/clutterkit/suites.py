@@ -426,7 +426,7 @@ def probe_ridge_chordal(n: int, d: int) -> dict:
     }
 
 
-def multiset_invariance_suite(n: int, d: int, jobs: int = 1) -> dict:
+def multiset_invariance_suite(n: int, d: int) -> dict:
     """Every erasure order for one target gives it the same k-multiset.
 
     One closure of exposed-circuit removals, then one pass over its edges:
@@ -434,9 +434,8 @@ def multiset_invariance_suite(n: int, d: int, jobs: int = 1) -> dict:
     and every parent of a state must give it the same multiset.  A state's
     subsets come before it in integer order, so its multiset is final when
     the pass reads it.  A multiset is one int holding the count of k in bit
-    field k.  ``jobs`` is checked, not used: the pass runs in this process.
+    field k.
     """
-    _check_jobs(jobs)
     allowed = _exposure_moves(n, d)
     total = comb(n, d)
     full = (1 << total) - 1

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import clutterkit
-from clutterkit.cli import main
+from clutterkit.cli import build_parser, main
 
 G5_TEXT = "5 2\n1 2\n2 5\n3 4\n3 5\n4 5\n"
 C4_TEXT = "4 2\n1 2\n2 3\n3 4\n1 4\n"
@@ -444,3 +445,129 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
     }
     argv = [arg.format(**files) for arg in argv] + ["--out", str(tmp_path / "report.json")]
     assert loaded_modules(f"from clutterkit.cli import main\nassert main({argv!r}) == 0") == expected
+
+
+# The parser's structure as recorded before the command table: for each of the
+# 29 parsers, its handler and each action's class, option strings, dest,
+# default, required, choices, help and type.  Every parser starts with HELP
+# and every command ends with OUT.  Help text is not compared: argparse words
+# it differently across Python versions.
+HELP = ("_HelpAction", ("-h", "--help"), "help", argparse.SUPPRESS, False, None, "show this help message and exit", None)
+OUT = ("_StoreAction", ("--out",), "out", None, False, None, "write the JSON report to this path", None)
+INPUT = ("_StoreAction", (), "input", None, True, None, None, None)
+CERTIFICATE = ("_StoreAction", (), "certificate", None, True, None, None, None)
+FIELD = ("_StoreAction", ("--field",), "field", "gf2", False, ("gf2", "rational"), None, None)
+GREEDY_ONLY = ("_StoreTrueAction", ("--greedy-only",), "greedy_only", False, False, None, None, None)
+N = ("_StoreAction", ("--n",), "n", None, True, None, None, "int")
+D = ("_StoreAction", ("--d",), "d", 2, False, None, None, "int")
+
+
+def words(dest, *listed):
+    return ("_SubParsersAction", (), dest, None, True, listed, None, None)
+
+
+PARSER_SHAPE = {
+    "": (None, [words(
+        "command",
+        ("complement", "complement a clutter"),
+        ("exposed", "exposure status of one circuit"),
+        ("erasures", "erasure certificates"),
+        ("ideal", "squarefree ideal operations"),
+        ("betti", "Betti numbers two ways"),
+        ("shelling", "shellings and Alexander duality"),
+        ("graph", "chordal graph applications"),
+        ("probe", "conjecture probes (report-only, never assert)"),
+        ("suite", "verification sweeps"),
+    )]),
+    "complement": ("_cmd_complement", [INPUT]),
+    "exposed": ("_cmd_exposed", [
+        INPUT, ("_StoreAction", ("--circuit",), "circuit", None, True, None, "e.g. '1,2,5'", None),
+    ]),
+    "erasures": (None, [words("sub", ("find", None), ("verify", None), ("betti", None))]),
+    "erasures find": ("_cmd_erasures_find", [
+        INPUT,
+        ("_StoreTrueAction", ("--require-proper",), "require_proper", False, False, None, None, None),
+        GREEDY_ONLY,
+    ]),
+    "erasures verify": ("_cmd_erasures_verify", [CERTIFICATE]),
+    "erasures betti": ("_cmd_erasures_betti", [CERTIFICATE]),
+    "ideal": (None, [words("sub", ("colon", None), ("quotients", None))]),
+    "ideal colon": ("_cmd_ideal_colon", [
+        INPUT, ("_StoreAction", ("--monomial",), "monomial", None, True, None, "e.g. '2,4'", None),
+    ]),
+    "ideal quotients": ("_cmd_ideal_quotients", [
+        INPUT,
+        ("_StoreTrueAction", ("--find",), "find", False, False, None, "search orders instead of verifying", None),
+        GREEDY_ONLY,
+    ]),
+    "betti": (None, [words("sub", ("hochster", None), ("formula", None), ("compare", None))]),
+    "betti hochster": ("_cmd_betti_hochster", [
+        INPUT,
+        FIELD,
+        ("_StoreTrueAction", ("--quotient",), "quotient", False, False, None, "shift to the R/I convention", None),
+    ]),
+    "betti formula": ("_cmd_betti_formula", [INPUT, FIELD]),
+    "betti compare": ("_cmd_betti_compare", [INPUT, FIELD]),
+    "shelling": (None, [words(
+        "sub", ("verify", None), ("dual", None), ("extendable", None), ("from-erasures", None),
+    )]),
+    "shelling verify": ("_cmd_shelling_verify", [INPUT]),
+    "shelling dual": ("_cmd_shelling_dual", [INPUT]),
+    "shelling extendable": ("_cmd_shelling_extendable", [INPUT]),
+    "shelling from-erasures": ("_cmd_shelling_from_erasures", [CERTIFICATE]),
+    "graph": (None, [words(
+        "sub", ("chordal", None), ("peo", None), ("chromatic", None), ("mst", None), ("boundary", None),
+    )]),
+    "graph chordal": ("_cmd_graph_chordal", [INPUT]),
+    "graph peo": ("_cmd_graph_peo", [INPUT]),
+    "graph chromatic": ("_cmd_graph_chromatic", [INPUT]),
+    "graph mst": ("_cmd_graph_mst", [INPUT]),
+    "graph boundary": ("_cmd_graph_boundary", [INPUT]),
+    "probe": ("_cmd_probe", [
+        ("_StoreAction", (), "kind", None, True, ("simon", "ridge-chordal"), None, None), N, D,
+    ]),
+    "suite": (None, [words("sub", ("exhaustive", None), ("random", None))]),
+    "suite exhaustive": ("_cmd_suite_exhaustive", [
+        ("_StoreAction", (), "what", None, True, (
+            "froberg", "connectivity", "clutter-erasure", "chromatic", "boundary", "free-face", "skeleton", "multiset",
+        ), None, None),
+        N,
+        D,
+        ("_StoreAction", ("--jobs",), "jobs", 1, False, None, None, "int"),
+    ]),
+    "suite random": ("_cmd_suite_random", [
+        ("_StoreAction", ("--count",), "count", 100, False, None, None, "int"),
+        ("_StoreAction", ("--max-n",), "max_n", 8, False, None, None, "int"),
+        ("_StoreAction", ("--seed",), "seed", 0, False, None, None, "int"),
+    ]),
+}
+
+
+def action_row(action) -> tuple:
+    choices = action.choices
+    if isinstance(action, argparse._SubParsersAction):
+        listed = {pseudo.dest: pseudo.help for pseudo in action._choices_actions}
+        choices = [(word, listed.get(word)) for word in choices]
+    return (
+        type(action).__name__, tuple(action.option_strings), action.dest, action.default, action.required,
+        None if choices is None else tuple(choices), action.help, getattr(action.type, "__name__", None),
+    )
+
+
+def parser_shape(parser, path=()) -> dict:
+    handler = parser.get_default("handler")
+    shape = {" ".join(path): (handler and handler.__name__, [action_row(a) for a in parser._actions])}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                shape.update(parser_shape(sub, path + (word,)))
+    return shape
+
+
+def test_parser_structure_is_pinned():
+    expected = {
+        path: (handler, [HELP, *rows] + ([OUT] if handler else []))
+        for path, (handler, rows) in PARSER_SHAPE.items()
+    }
+    assert len(expected) == 29
+    assert parser_shape(build_parser()) == expected

@@ -188,6 +188,14 @@ def test_betti_table_json_and_diagram(tailed_triangle):
     assert shifted["pdim"] == 3
     diagram = table.diagram()
     assert "total:" in diagram and "5 6 2" in diagram
+    # R/0 = R: the quotient convention gives beta_{0,0} = 1 in both outputs
+    zero = hochster_betti_table(Clutter.complete(3, 2), "gf2")
+    assert zero.to_json_dict() == {"entries": [], "convention": "ideal", "pdim": None, "zero_ideal": True}
+    assert zero.to_json_dict(quotient=True) == {
+        "entries": [[0, 0, 1]], "convention": "quotient", "pdim": 0, "zero_ideal": True,
+    }
+    assert zero.diagram() == "(zero ideal)"
+    assert zero.diagram(quotient=True).splitlines()[-1] == "    0: 1"
 
 
 def test_size_guards():
